@@ -11,16 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .errors import (
     ConstraintViolation,
     GoodwinDelayError,
-    InconsistentPsi,
     MissingField,
     NoOscillation,
     StepTooLarge,
@@ -37,7 +34,7 @@ from .model import (
 )
 from .normal_form import hopf_analysis
 from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
-from .spectral import stability_verdict
+from .spectral import analyze_spectrum, check_delay, verdict_at
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,18 +45,17 @@ CONFIG_ERRORS = (MissingField, UnknownField, ConstraintViolation, VariantConstra
 SIMULATION_ERRORS = (StepTooLarge, WindowTooShort, NoOscillation)
 
 MAX_SWEEP_POINTS = 1_000_000
+SWEEP_COLUMNS = ["beta_e", "lambda_e", "p0", "r0", "q0", "h_case", "tau0", "verdict"]
+HOPF_COLUMNS = ["c1_re", "c1_im", "mu2_bar", "beta2", "direction", "orbit_stability"]
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else str(v)  # str(float) is the shortest round-trip repr
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -70,8 +66,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _load_params(args):
-    raw = load_config(args.config)
-    return validate_parameters(raw)
+    return validate_parameters(load_config(args.config))
 
 
 def _outdir(args) -> Path:
@@ -80,16 +75,30 @@ def _outdir(args) -> Path:
     return out
 
 
+def _check_probe(jmax: int, taus) -> None:
+    """Reject a negative ladder depth or a bad delay before any analysis."""
+    if jmax < 0:
+        raise ValueError(f"jmax must be nonnegative, got {jmax}")
+    for tau in taus:
+        check_delay(tau)
+
+
+def _analysis(p, variant: str, j_max: int, with_hopf: bool):
+    """Coefficients -> equilibrium -> spectrum (-> Hopf report), each once."""
+    coeffs = subsystem_coefficients(p, variant)
+    eq = equilibrium(coeffs, p)
+    report = analyze_spectrum(eq, coeffs, j_max=j_max)
+    if with_hopf and report.tau0 is not None:
+        return eq, report, hopf_analysis(eq, coeffs, report)
+    return eq, report, None
+
+
 def cmd_analyze(args) -> int:
     p = _load_params(args)
+    _check_probe(args.jmax, [args.tau])
     out = _outdir(args)
-    verdict = stability_verdict(p, args.variant, args.tau, j_max=args.jmax)
-    report = verdict.report
-    coeffs = subsystem_coefficients(p, args.variant)
-    eq = equilibrium(coeffs, p)
-    hopf = None
-    if report.tau0 is not None:
-        hopf = hopf_analysis(eq, coeffs, report)
+    eq, report, hopf = _analysis(p, args.variant, args.jmax, with_hopf=True)
+    verdict = verdict_at(report, args.tau)
     doc = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -115,7 +124,7 @@ def cmd_analyze(args) -> int:
         print("tau0: none (delay-independent stability)")
     print(f"verdict at tau={_fmt(args.tau)}: {verdict.kind}")
     if hopf:
-        print(f"hopf: c1(0)={complex(hopf.c1_0)!r} direction={hopf.direction}"
+        print(f"hopf: c1(0)={hopf.c1_0!r} direction={hopf.direction}"
               f" orbit={hopf.orbit_stability}"
               f" period_estimate={_fmt(hopf.period_estimate)}")
     return EXIT_OK
@@ -158,42 +167,32 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(p_raw, args, value):
-    """One sweep row; errors are captured into the row, not raised."""
-    base = [value]
-    blank = [None] * (8 + (6 if args.with_hopf else 0))
+def _captured(analysis, *args):
+    """The analysis result, or the GoodwinDelayError it raised."""
     try:
-        raw = dict(p_raw)
-        tau = args.tau
-        if args.param == "tau":
-            tau = value
-        else:
-            raw[args.param] = value
-        p = validate_parameters(raw)
-        verdict = stability_verdict(p, args.variant, tau, j_max=args.jmax)
-        report = verdict.report
-        eq_ = equilibrium(subsystem_coefficients(p, args.variant), p)
-        row = base + [
-            eq_.beta_e, eq_.lambda_e,
-            report.coefficients.p0, report.coefficients.r0, report.coefficients.q0,
-            report.h_case.tag, report.tau0, verdict.kind,
-        ]
-        if args.with_hopf:
-            if report.tau0 is not None:
-                hopf = hopf_analysis(eq_, subsystem_coefficients(p, args.variant),
-                                     report)
-                row += [hopf.c1_0.real, hopf.c1_0.imag, hopf.mu2_bar, hopf.beta2,
-                        hopf.direction, hopf.orbit_stability]
-            else:
-                row += [None] * 6
-        return row + [""]
+        return analysis(*args)
     except GoodwinDelayError as exc:
-        return base + blank + [type(exc).__name__]
+        return exc
+
+
+def _sweep_row(value, tau, analysis, with_hopf: bool) -> list:
+    """One sweep row; an analysis error fills the row as its class name."""
+    if isinstance(analysis, GoodwinDelayError):
+        blank = SWEEP_COLUMNS + HOPF_COLUMNS if with_hopf else SWEEP_COLUMNS
+        return [value] + [None] * len(blank) + [type(analysis).__name__]
+    eq, report, hopf = analysis
+    c = report.coefficients
+    row = [value, eq.beta_e, eq.lambda_e, c.p0, c.r0, c.q0, report.h_case.tag,
+           report.tau0, verdict_at(report, tau).kind]
+    if with_hopf:
+        row += [hopf.c1_0.real, hopf.c1_0.imag, hopf.mu2_bar, hopf.beta2,
+                hopf.direction, hopf.orbit_stability] if hopf else [None] * 6
+    return row + [""]
 
 
 def cmd_sweep(args) -> int:
     raw = load_config(args.config)
-    validate_parameters(raw)  # config-grade errors surface before the sweep
+    p = validate_parameters(raw)  # config-grade errors surface before the sweep
     if args.param != "tau" and args.param not in PARAM_FIELDS:
         raise ConstraintViolation("param", args.param, "a sweep axis name")
     if args.count < 1 or args.count > MAX_SWEEP_POINTS:
@@ -201,24 +200,25 @@ def cmd_sweep(args) -> int:
                                   f"1 <= count <= {MAX_SWEEP_POINTS}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ConstraintViolation("range", (args.start, args.stop), "finite range")
-    out = _outdir(args)
     if args.count == 1:
         values = [args.start]
     else:
         step = (args.stop - args.start) / (args.count - 1)
         values = [args.start + i * step for i in range(args.count)]
-    threads = int(os.environ.get("GOODWIN_DELAY_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(raw, args, v), values))
+    _check_probe(args.jmax, values if args.param == "tau" else [args.tau])
+    out = _outdir(args)
+    if args.param == "tau":
+        # only the verdict depends on tau: analyze once, classify per row
+        analysis = _captured(_analysis, p, args.variant, args.jmax, args.with_hopf)
+        rows = [_sweep_row(tau, tau, analysis, args.with_hopf) for tau in values]
     else:
-        rows = [_sweep_row(raw, args, v) for v in values]
-    header = [args.param, "beta_e", "lambda_e", "p0", "r0", "q0", "h_case",
-              "tau0", "verdict"]
-    if args.with_hopf:
-        header += ["c1_re", "c1_im", "mu2_bar", "beta2", "direction",
-                   "orbit_stability"]
-    header += ["error"]
+        def analysis_at(value):
+            row_p = validate_parameters({**raw, args.param: value})
+            return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
+        rows = [_sweep_row(v, args.tau, _captured(analysis_at, v), args.with_hopf)
+                for v in values]
+    hopf_columns = HOPF_COLUMNS if args.with_hopf else []
+    header = [args.param, *SWEEP_COLUMNS, *hopf_columns, "error"]
     _write_csv(out / "sweep.csv", header, rows)
     print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CONFIG_ERRORS as exc:
+    except (OSError, ValueError, *CONFIG_ERRORS) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SIMULATION_ERRORS as exc:

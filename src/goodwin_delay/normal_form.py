@@ -191,11 +191,6 @@ def solve_E2(ep: EigenPair, eq: Equilibrium,
     return _check_solve(M, rhs_c.real.astype(float), "E2")
 
 
-def w_functions(ep: EigenPair, g20: complex, g11: complex, g02: complex,
-                E1: np.ndarray, E2: np.ndarray) -> WFunctions:
-    return WFunctions(ep=ep, g20=g20, g11=g11, g02=g02, E1=E1, E2=E2)
-
-
 def _g21(ep: EigenPair, coeffs: SubsystemCoefficients, W: WFunctions) -> complex:
     gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
                       coeffs.delta0, coeffs.rho1)
@@ -228,7 +223,7 @@ def g_coefficients(ep: EigenPair, eq: Equilibrium,
     g20, g11, g02 = _quadratic_g(ep, coeffs)
     E1 = solve_E1(ep, eq, coeffs)
     E2 = solve_E2(ep, eq, coeffs)
-    W = w_functions(ep, g20, g11, g02, E1, E2)
+    W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02, E1=E1, E2=E2)
     return GCoefficients(g20=g20, g11=g11, g02=g02, g21=_g21(ep, coeffs, W))
 
 
@@ -239,8 +234,9 @@ def lyapunov_quantities(g: GCoefficients, omega: float, tau_k: float,
     if re_lambda_prime == 0.0:
         raise ZeroTransversality("Re lambda'(tau_k) = 0")
     wt = omega * tau_k
-    c1 = (1j / (2.0 * wt)) * (g.g11 * g.g20 - 2.0 * abs(g.g11) ** 2
-                              - abs(g.g02) ** 2 / 3.0) + g.g21 / 2.0
+    # complex(): the g's are numpy scalars; the report holds Python numbers
+    c1 = complex((1j / (2.0 * wt)) * (g.g11 * g.g20 - 2.0 * abs(g.g11) ** 2
+                                      - abs(g.g02) ** 2 / 3.0) + g.g21 / 2.0)
     mu2_bar = -c1.real / re_lambda_prime
     beta2 = 2.0 * c1.real
     if abs(c1) < DEGENERATE_C1_TOL:

@@ -38,10 +38,6 @@ class Trajectory:
     overflow: bool = False
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def states(self) -> np.ndarray:
-        return np.column_stack([self.beta, self.lambda_])
-
 
 def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
     if step_hint is None:

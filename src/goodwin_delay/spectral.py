@@ -227,6 +227,8 @@ def transversality(c: CharCoefficients, z0: float, omega0: float,
 def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
                      j_max: int = 3) -> SpectralReport:
     """Full spectral report: coefficients, H-case, ladders, tau0, slope."""
+    if j_max < 0:
+        raise ValueError(f"j_max must be nonnegative, got {j_max!r}")
     c = char_coefficients(eq, coeffs)
     h = classify_h(c)
     stable0 = stable_at_zero_delay(c)
@@ -248,22 +250,22 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
     )
 
 
-def stability_verdict(p: ModelParameters, variant: str, tau: float,
-                      j_max: int = 3) -> Verdict:
-    """Stability classification of the equilibrium at a given delay."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    coeffs = subsystem_coefficients(p, variant)
-    eq = equilibrium(coeffs, p)
-    report = analyze_spectrum(eq, coeffs, j_max=j_max)
+def check_delay(tau: float) -> None:
+    """Raise ValueError unless tau is a finite, nonnegative delay."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+
+
+def verdict_at(report: SpectralReport, tau: float) -> Verdict:
+    """Stability classification at delay tau, given the tau-independent spectrum."""
+    check_delay(tau)
     if not report.stable_at_zero:
         return Verdict(kind="unstable_at_zero", tau=tau, interval=None, report=report)
     if report.delay_independent:
         return Verdict(kind="stable_all_delays", tau=tau, interval=None, report=report)
     tau0 = report.tau0
     later = [t for ladder in report.tau_ladders for t in ladder if t > tau0]
-    tau1 = min(later) if later else None
-    interval = (tau0, tau1) if tau1 is not None else None
+    interval = (tau0, min(later)) if later else None
     if abs(tau - tau0) < HOPF_CRITICAL_TOL:
         kind = "hopf_critical"
     elif tau < tau0:
@@ -271,3 +273,11 @@ def stability_verdict(p: ModelParameters, variant: str, tau: float,
     else:
         kind = "unstable"
     return Verdict(kind=kind, tau=tau, interval=interval, report=report)
+
+
+def stability_verdict(p: ModelParameters, variant: str, tau: float,
+                      j_max: int = 3) -> Verdict:
+    """Stability classification of the equilibrium at a given delay."""
+    coeffs = subsystem_coefficients(p, variant)
+    eq = equilibrium(coeffs, p)
+    return verdict_at(analyze_spectrum(eq, coeffs, j_max=j_max), tau)

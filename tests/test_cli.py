@@ -4,8 +4,13 @@ import json
 import pytest
 
 from goodwin_delay.cli import main
+from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
+from goodwin_delay.normal_form import hopf_analysis
+from goodwin_delay.spectral import stability_verdict
 
 from helpers import CASE_A, CASE_B
+
+TEXT_COLUMNS = {"h_case", "verdict", "direction", "orbit_stability", "error"}
 
 
 @pytest.fixture
@@ -25,6 +30,16 @@ def config_b(tmp_path):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@pytest.fixture
+def config_psi(tmp_path):
+    """Case B with a wage share the capacity equations contradict."""
+    raw = dict(CASE_B)
+    raw["mu1"] = 0.05
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 class TestAnalyze:
@@ -73,15 +88,28 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
-    def test_inconsistent_psi_exits_2(self, tmp_path, capsys):
-        raw = dict(CASE_B)
-        raw["mu1"] = 0.05
-        cfg = tmp_path / "psi.json"
-        cfg.write_text(json.dumps(raw))
-        rc = main(["analyze", "--config", str(cfg), "--variant", "B",
+    def test_inconsistent_psi_exits_2(self, config_psi, tmp_path, capsys):
+        rc = main(["analyze", "--config", config_psi, "--variant", "B",
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "analysis error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exits_1(self, config_a, tmp_path, capsys, tau):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--config", config_a, "--tau", tau, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tau") and err.count("\n") == 1
+        assert not (out / "analysis.json").exists()
+
+    def test_negative_jmax_exits_1(self, config_a, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["analyze", "--config", config_a, "--jmax", "-1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: jmax") and err.count("\n") == 1
+        assert not (out / "analysis.json").exists()
 
     def test_determinism(self, config_a, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -202,15 +230,68 @@ class TestSweep:
             blobs.append((out / "sweep.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_threaded_matches_serial(self, config_a, tmp_path, monkeypatch):
-        out_serial = tmp_path / "serial"
-        assert main(["sweep", "--config", config_a, "--param", "tau",
-                     "--start", "0", "--stop", "0.06", "--count", "13",
-                     "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("GOODWIN_DELAY_THREADS", "4")
-        out_thread = tmp_path / "thread"
-        assert main(["sweep", "--config", config_a, "--param", "tau",
-                     "--start", "0", "--stop", "0.06", "--count", "13",
-                     "--out", str(out_thread)]) == 0
-        assert ((out_serial / "sweep.csv").read_bytes()
-                == (out_thread / "sweep.csv").read_bytes())
+    def test_hopf_cells_parse_as_floats(self, config_a, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", config_a, "--param", "delta",
+                     "--start", "3.8", "--stop", "4.6", "--count", "9",
+                     "--tau", "0.03", "--with-hopf", "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert all(r["c1_re"] for r in rows)
+        for r in rows:
+            for name, cell in r.items():
+                if name not in TEXT_COLUMNS and cell:
+                    float(cell)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_tau_sweep_rows_match_direct_calls(self, config_a, config_b,
+                                               tmp_path, variant):
+        config, raw = (config_a, CASE_A) if variant == "A" else (config_b, CASE_B)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", config, "--variant", variant,
+                     "--param", "tau", "--start", "0", "--stop", "0.06",
+                     "--count", "61", "--with-hopf", "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 61
+        p = validate_parameters(dict(raw))
+        coeffs = subsystem_coefficients(p, variant)
+        eq = equilibrium(coeffs, p)
+        for r in rows:
+            verdict = stability_verdict(p, variant, float(r["tau"]))
+            rep = verdict.report
+            hopf = hopf_analysis(eq, coeffs, rep)
+            want = [eq.beta_e, eq.lambda_e, rep.coefficients.p0,
+                    rep.coefficients.r0, rep.coefficients.q0, rep.h_case.tag,
+                    rep.tau0, verdict.kind, hopf.c1_0.real, hopf.c1_0.imag,
+                    hopf.mu2_bar, hopf.beta2, hopf.direction,
+                    hopf.orbit_stability, ""]
+            got = list(r.values())[1:]
+            assert got == [repr(v) if isinstance(v, float) else v for v in want]
+        assert {r["verdict"] for r in rows} == {"stable", "unstable"}
+
+    def test_tau_sweep_inconsistent_psi_fills_every_row(self, config_psi, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", config_psi, "--variant", "B",
+                     "--param", "tau", "--start", "0", "--stop", "0.04",
+                     "--count", "5", "--with-hopf", "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 5
+        for r in rows:
+            assert r.pop("error") == "InconsistentPsi"
+            r.pop("tau")
+            assert set(r.values()) == {""}
+
+    def test_negative_tau_exits_1_before_rows(self, config_psi, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", config_psi, "--variant", "B",
+                     "--param", "tau", "--start", "-0.01", "--stop", "0.04",
+                     "--count", "5", "--out", str(out)]) == 1
+        assert not (out / "sweep.csv").exists()
+
+    def test_non_finite_fixed_tau_exits_1(self, config_a, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", config_a, "--param", "delta",
+                   "--start", "3.8", "--stop", "4.6", "--count", "3",
+                   "--tau", "nan", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("config error: tau")
+        assert not (out / "sweep.csv").exists()

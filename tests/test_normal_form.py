@@ -7,6 +7,7 @@ from goodwin_delay.errors import DegenerateNormalization, ZeroTransversality
 from goodwin_delay.normal_form import (
     EigenPair,
     GCoefficients,
+    WFunctions,
     _quadratic_g,
     eigen_pair,
     g_coefficients,
@@ -14,7 +15,6 @@ from goodwin_delay.normal_form import (
     lyapunov_quantities,
     solve_E1,
     solve_E2,
-    w_functions,
 )
 from goodwin_delay.spectral import analyze_spectrum
 
@@ -208,8 +208,8 @@ class TestWFunctions:
         # W20'(theta) = 2 i omega tau_k W20(theta) + g20 q(theta) + conj(g02) conj(q)(theta)
         coeffs, eq, rep, ep = case_a_pair
         g20, g11, g02 = _quadratic_g(ep, coeffs)
-        W = w_functions(ep, g20, g11, g02,
-                        solve_E1(ep, eq, coeffs), solve_E2(ep, eq, coeffs))
+        W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
+                       E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
         wt = ep.omega * ep.tau_k
         h = 1e-6
         for theta in (-0.8, -0.5, -0.2):
@@ -221,8 +221,8 @@ class TestWFunctions:
     def test_w11_satisfies_its_ode(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         g20, g11, g02 = _quadratic_g(ep, coeffs)
-        W = w_functions(ep, g20, g11, g02,
-                        solve_E1(ep, eq, coeffs), solve_E2(ep, eq, coeffs))
+        W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
+                       E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
         h = 1e-6
         for theta in (-0.7, -0.3):
             deriv = (W.w11(theta + h) - W.w11(theta - h)) / (2 * h)
@@ -235,8 +235,8 @@ class TestWFunctions:
         # conj at conjugate arguments
         coeffs, eq, rep, ep = case_a_pair
         g20, g11, g02 = _quadratic_g(ep, coeffs)
-        W = w_functions(ep, g20, g11, g02,
-                        solve_E1(ep, eq, coeffs), solve_E2(ep, eq, coeffs))
+        W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
+                       E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
         w11 = W.w11(-0.4)
         assert np.max(np.abs((w11 + np.conj(w11)).imag)) < 1e-12
 

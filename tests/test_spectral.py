@@ -21,6 +21,7 @@ from goodwin_delay.spectral import (
     stability_verdict,
     stable_at_zero_delay,
     transversality,
+    verdict_at,
 )
 
 from helpers import brute_force_onset, rhp_root_count, sample_crossing_set
@@ -272,6 +273,15 @@ class TestVerdicts:
         p = validate_parameters(case_a_raw)
         with pytest.raises(ValueError):
             stability_verdict(p, "A", -0.1)
+
+    def test_non_finite_tau_and_negative_depth_rejected(self, case_a):
+        _, coeffs, eq = case_a
+        with pytest.raises(ValueError):
+            analyze_spectrum(eq, coeffs, j_max=-1)
+        rep = analyze_spectrum(eq, coeffs)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                verdict_at(rep, tau)
 
     def test_report_to_dict_round_trips(self, case_a):
         _, coeffs, eq = case_a
