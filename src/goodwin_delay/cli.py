@@ -18,6 +18,7 @@ from . import __version__
 from .errors import (
     ConstraintViolation,
     GoodwinDelayError,
+    GridTooLarge,
     MissingField,
     NoOscillation,
     StepTooLarge,
@@ -42,7 +43,7 @@ EXIT_ANALYSIS = 2
 EXIT_SIMULATION = 3
 
 CONFIG_ERRORS = (MissingField, UnknownField, ConstraintViolation, VariantConstraint)
-SIMULATION_ERRORS = (StepTooLarge, WindowTooShort, NoOscillation)
+SIMULATION_ERRORS = (StepTooLarge, GridTooLarge, WindowTooShort, NoOscillation)
 
 MAX_SWEEP_POINTS = 1_000_000
 SWEEP_COLUMNS = ["beta_e", "lambda_e", "p0", "r0", "q0", "h_case", "tau0", "verdict"]
@@ -132,7 +133,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _load_params(args)
-    out = _outdir(args)
     coeffs = subsystem_coefficients(p, args.variant)
     eq = equilibrium(coeffs, p)
     if args.init is not None:
@@ -140,12 +140,12 @@ def cmd_simulate(args) -> int:
     else:
         # repo convention: the reference figures never state their start
         b0, l0 = eq.beta_e - 0.05, eq.lambda_e - 0.05
-    history = HistorySpec(beta=b0, lambda_=l0)
-    traj = simulate(coeffs, args.tau, history, args.t_end, step_hint=args.step)
+    # simulate() rejects bad inputs before anything is written
+    traj = simulate(coeffs, args.tau, HistorySpec(beta=b0, lambda_=l0),
+                    args.t_end, step_hint=args.step)
+    out = _outdir(args)
     _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"],
                zip(traj.times.tolist(), traj.beta.tolist(), traj.lambda_.tolist()))
-    _write_csv(out / "phase.csv", ["beta", "lambda"],
-               zip(traj.beta.tolist(), traj.lambda_.tolist()))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -153,7 +153,7 @@ def cmd_simulate(args) -> int:
         "t_end": args.t_end,
         "step": traj.step,
         "overflow": traj.overflow,
-        "history": {"kind": history.kind, "beta": b0, "lambda": l0},
+        "history": {"kind": "constant", "beta": b0, "lambda": l0},
         "parameters": {k: getattr(p, k) for k in PARAM_FIELDS},
     }
     _write_json(out / "run.json", sidecar)

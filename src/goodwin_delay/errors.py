@@ -75,6 +75,10 @@ class StepTooLarge(GoodwinDelayError):
     """Requested step resolves the delay interval with fewer than 4 nodes."""
 
 
+class GridTooLarge(GoodwinDelayError):
+    """The delay, horizon and step need more grid slots than MAX_STEPS."""
+
+
 class WindowTooShort(GoodwinDelayError):
     """Envelope window spans fewer than 5 grid steps."""
 

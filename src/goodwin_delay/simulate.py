@@ -1,22 +1,32 @@
 """Constant-delay time integration by the method of steps.
 
-The step is tied to the delay (h = tau/m) so delayed node lookups are
-exact grid hits; mid-step stage lookups use cubic Hermite interpolation
-of the stored (state, derivative) history, which preserves fourth-order
-accuracy of the underlying Runge-Kutta scheme.
+One RK4 kernel serves every delay tau >= 0.  The step is tied to the
+delay (h = tau/m), so the delayed beta at a step's ends is a grid node,
+and at its midpoint the cubic Hermite interpolant of the stored (state,
+derivative) history, which keeps the scheme fourth order (Bellen &
+Zennaro, Numerical Methods for Delay Differential Equations, OUP 2003).
+At tau = 0, m = 0 and rho1 joins the instantaneous coupling.
+
+X holds beta at t = (k - m) h for k = 0..m+n, the first m+1 entries being
+the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
+[X[k], X[k+1]], stored with X[k+1].  Step i reads X[i], M[i], X[i+1].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoOscillation, StepTooLarge, WindowTooShort
+from .errors import GridTooLarge, NoOscillation, StepTooLarge, WindowTooShort
 from .model import SubsystemCoefficients
+from .spectral import check_delay
 
 OVERFLOW_LIMIT = 1e6
+# Cap on the grid slots m + n of one run: at about 128 bytes per slot at
+# the peak (three lists of floats, then the arrays), near 640 MB.
+MAX_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -25,7 +35,6 @@ class HistorySpec:
 
     beta: float
     lambda_: float
-    kind: str = "constant"
 
 
 @dataclass
@@ -36,15 +45,16 @@ class Trajectory:
     tau: float
     step: float
     overflow: bool = False
-    metadata: dict = field(default_factory=dict)
 
 
 def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
+    if step_hint is not None and step_hint <= 0:
+        raise StepTooLarge("step hint must be positive")
+    if tau == 0.0:
+        return 0, step_hint or 0.01
     if step_hint is None:
         m = max(8, math.ceil(tau / 0.01 - 1e-12))
     else:
-        if step_hint <= 0:
-            raise StepTooLarge("step hint must be positive")
         m = math.ceil(tau / step_hint - 1e-12)
         if m < 4:
             raise StepTooLarge(
@@ -59,85 +69,62 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     Returns a uniform-grid trajectory starting at t = 0.  If the state
     magnitude exceeds 1e6 the run is truncated and flagged.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    check_delay(tau)
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+    for name, value in (("step hint", step_hint), ("history beta", history.beta),
+                        ("history lambda", history.lambda_)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    m, h = _resolve_step(tau, step_hint)
+    span = t_end / h - 1e-9 if h > 0 else math.inf
+    if m + span > MAX_STEPS:
+        raise GridTooLarge(f"tau={tau} and t_end={t_end} with step {h} need"
+                           f" {m} + {span:.3g} grid slots > MAX_STEPS={MAX_STEPS}")
+    n = math.ceil(span)
+
     b0, lam0, d0 = coeffs.beta0, coeffs.lambda0, coeffs.delta0
-    gc, wd, r1 = coeffs.growth_coupling, coeffs.wage_damping, coeffs.rho1
-    hb, hl = history.beta, history.lambda_
-
-    if tau == 0.0:
-        m = 0
-        h = step_hint if step_hint is not None else 0.01
-        if h <= 0:
-            raise StepTooLarge("step hint must be positive")
-    else:
-        m, h = _resolve_step(tau, step_hint)
-    n = math.ceil(t_end / h - 1e-9)
-
-    B = [0.0] * (n + 1)
-    L = [0.0] * (n + 1)
-    DB = [0.0] * (n + 1)  # beta derivatives, for Hermite interpolation
-    B[0], L[0] = hb, hl
-    DB[0] = (b0 + gc * hb - d0 * hl) * hb
+    gc, wd = coeffs.growth_coupling, coeffs.wage_damping
+    # lambda-equation coupling to beta(t) and to beta(t - tau)
+    gl, r1 = (gc, coeffs.rho1) if m else (gc + coeffs.rho1, 0.0)
+    b, lam = history.beta, history.lambda_
+    X = [b] * (m + n + 1)
+    M = [b] * (m + n)
+    L = [lam] * (n + 1)
+    db = (b0 + gc * b - d0 * lam) * b  # beta derivative, for Hermite midpoints
 
     overflow = False
-    b, lam = hb, hl
     h2, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
     last = n
     for i in range(n):
-        if tau == 0.0:
-            # plain one-step RK4; the delayed argument is the stage value
-            k1b = (b0 + gc * b - d0 * lam) * b
-            k1l = (lam0 - wd * lam + gc * b + r1 * b) * lam
-            b2, l2 = b + h2 * k1b, lam + h2 * k1l
-            k2b = (b0 + gc * b2 - d0 * l2) * b2
-            k2l = (lam0 - wd * l2 + gc * b2 + r1 * b2) * l2
-            b3, l3 = b + h2 * k2b, lam + h2 * k2l
-            k3b = (b0 + gc * b3 - d0 * l3) * b3
-            k3l = (lam0 - wd * l3 + gc * b3 + r1 * b3) * l3
-            b4, l4 = b + h * k3b, lam + h * k3l
-            k4b = (b0 + gc * b4 - d0 * l4) * b4
-            k4l = (lam0 - wd * l4 + gc * b4 + r1 * b4) * l4
-        else:
-            j = i - m
-            bd0 = B[j] if j >= 0 else hb
-            bd1 = B[j + 1] if j + 1 >= 0 else hb
-            if j >= 0:
-                # Hermite midpoint of the stored interval [j, j+1]
-                bdm = 0.5 * (B[j] + B[j + 1]) + h8 * (DB[j] - DB[j + 1])
-            else:
-                bdm = hb
-            k1b = (b0 + gc * b - d0 * lam) * b
-            k1l = (lam0 - wd * lam + gc * b + r1 * bd0) * lam
-            b2, l2 = b + h2 * k1b, lam + h2 * k1l
-            k2b = (b0 + gc * b2 - d0 * l2) * b2
-            k2l = (lam0 - wd * l2 + gc * b2 + r1 * bdm) * l2
-            b3, l3 = b + h2 * k2b, lam + h2 * k2l
-            k3b = (b0 + gc * b3 - d0 * l3) * b3
-            k3l = (lam0 - wd * l3 + gc * b3 + r1 * bdm) * l3
-            b4, l4 = b + h * k3b, lam + h * k3l
-            k4b = (b0 + gc * b4 - d0 * l4) * b4
-            k4l = (lam0 - wd * l4 + gc * b4 + r1 * bd1) * l4
-        b = b + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
+        bd0, bdm, bd1 = X[i], M[i], X[i + 1]
+        k1b = (b0 + gc * b - d0 * lam) * b
+        k1l = (lam0 - wd * lam + gl * b + r1 * bd0) * lam
+        b2, l2 = b + h2 * k1b, lam + h2 * k1l
+        k2b = (b0 + gc * b2 - d0 * l2) * b2
+        k2l = (lam0 - wd * l2 + gl * b2 + r1 * bdm) * l2
+        b3, l3 = b + h2 * k2b, lam + h2 * k2l
+        k3b = (b0 + gc * b3 - d0 * l3) * b3
+        k3l = (lam0 - wd * l3 + gl * b3 + r1 * bdm) * l3
+        b4, l4 = b + h * k3b, lam + h * k3l
+        k4b = (b0 + gc * b4 - d0 * l4) * b4
+        k4l = (lam0 - wd * l4 + gl * b4 + r1 * bd1) * l4
+        b_new = b + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
         lam = lam + h6 * (k1l + 2.0 * (k2l + k3l) + k4l)
-        B[i + 1], L[i + 1] = b, lam
-        DB[i + 1] = (b0 + gc * b - d0 * lam) * b
+        db_new = (b0 + gc * b_new - d0 * lam) * b_new
+        M[m + i] = 0.5 * (b + b_new) + h8 * (db - db_new)
+        b, db = b_new, db_new
+        X[m + i + 1], L[i + 1] = b, lam
         if abs(b) > OVERFLOW_LIMIT or abs(lam) > OVERFLOW_LIMIT:
             overflow = True
             last = i + 1
             break
 
-    times = np.arange(last + 1) * h
     return Trajectory(
-        times=times,
-        beta=np.array(B[:last + 1]),
+        times=np.arange(last + 1) * h,
+        beta=np.array(X[m:m + last + 1]),
         lambda_=np.array(L[:last + 1]),
         tau=tau, step=h, overflow=overflow,
-        metadata={"m": m, "t_end": t_end,
-                  "history": {"kind": history.kind,
-                              "beta": history.beta, "lambda": history.lambda_}},
     )
 
 

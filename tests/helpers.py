@@ -122,6 +122,30 @@ def bilinear_inner_product(ep, coeffs, eq):
     return point + corr
 
 
+# ------------------------------------------------------ zero-delay ODE
+
+def rk4_ode_reference(coeffs, beta, lambda_, h, n):
+    """n classic RK4 steps of the undelayed subsystem in Kolmogorov form
+    x' = x * (r + A x), with rho1 acting on beta(t) itself."""
+    r = np.array([coeffs.beta0, coeffs.lambda0])
+    A = np.array([[coeffs.growth_coupling, -coeffs.delta0],
+                  [coeffs.growth_coupling + coeffs.rho1, -coeffs.wage_damping]])
+
+    def f(x):
+        return x * (r + A @ x)
+
+    x = np.array([beta, lambda_])
+    out = [x]
+    for _ in range(n):
+        k1 = f(x)
+        k2 = f(x + 0.5 * h * k1)
+        k3 = f(x + 0.5 * h * k2)
+        k4 = f(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
 # ---------------------------------------------------------- sampling
 
 def _jitter(rng, base, keys, lo=0.5, hi=1.5):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 
 import pytest
@@ -9,6 +10,9 @@ from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import stability_verdict
 
 from helpers import CASE_A, CASE_B
+
+# the package re-exports the simulate() function under the module's name
+simulate_module = importlib.import_module("goodwin_delay.simulate")
 
 TEXT_COLUMNS = {"h_case", "verdict", "direction", "orbit_stability", "error"}
 
@@ -135,7 +139,7 @@ class TestSimulate:
         sidecar = json.loads((out / "run.json").read_text())
         assert sidecar["tau"] == 0.05
         assert sidecar["overflow"] is False
-        assert (out / "phase.csv").exists()
+        assert not (out / "phase.csv").exists()  # trajectory.csv holds its columns
 
     def test_decaying_run(self, config_a, tmp_path, capsys):
         rc = main(["simulate", "--config", config_a, "--tau", "0",
@@ -157,6 +161,31 @@ class TestSimulate:
                    "--t-end", "10", "--step", "0.05", "--out", str(tmp_path)])
         assert rc == 3
         assert "simulation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "inf"), ("--tau", "inf"), ("--init", "nan,nan"),
+        ("--t-end", "nan"), ("--step", "nan"),
+    ])
+    def test_non_finite_input_exits_1(self, flag, value, config_a, tmp_path,
+                                      capsys):
+        # a repeated option takes its last value
+        out = tmp_path / "never"
+        rc = main(["simulate", "--config", config_a, "--tau", "0.05",
+                   "--t-end", "50", "--out", str(out), flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
+    def test_grid_too_large_exits_3(self, config_a, tmp_path, capsys,
+                                    monkeypatch):
+        monkeypatch.setattr(simulate_module, "MAX_STEPS", 1000)
+        out = tmp_path / "never"
+        rc = main(["simulate", "--config", config_a, "--tau", "0.05",
+                   "--t-end", "50", "--out", str(out)])
+        assert rc == 3
+        assert "simulation error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism(self, config_a, tmp_path):
         outs = []

@@ -1,9 +1,11 @@
+import hashlib
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from goodwin_delay.errors import NoOscillation, StepTooLarge, WindowTooShort
+from goodwin_delay.errors import GridTooLarge, NoOscillation, StepTooLarge, WindowTooShort
 from goodwin_delay.simulate import (
     HistorySpec,
     Trajectory,
@@ -13,6 +15,11 @@ from goodwin_delay.simulate import (
     simulate,
 )
 from goodwin_delay.spectral import analyze_spectrum
+
+from helpers import rk4_ode_reference
+
+# the package re-exports the simulate() function under the module's name
+simulate_module = importlib.import_module("goodwin_delay.simulate")
 
 TAU0_A = 0.03484884438749684
 OMEGA0_A = 0.7080560034974415
@@ -110,6 +117,49 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             simulate(coeffs, -0.1, perturbed_history(eq), t_end=1.0)
 
+    @pytest.mark.parametrize("flags", [
+        dict(tau=math.inf), dict(tau=math.nan), dict(t_end=math.inf),
+        dict(t_end=math.nan), dict(step_hint=math.nan),
+        dict(step_hint=math.inf), dict(history=HistorySpec(math.nan, 0.5)),
+        dict(history=HistorySpec(0.5, math.inf)),
+    ])
+    def test_non_finite_inputs_rejected(self, flags, case_a):
+        _, coeffs, eq = case_a
+        kwargs = dict(tau=0.05, history=perturbed_history(eq), t_end=10.0,
+                      step_hint=None)
+        kwargs.update(flags)
+        with pytest.raises(ValueError):
+            simulate(coeffs, **kwargs)
+
+    @pytest.mark.parametrize("tau, slots", [(0.0, 50_000), (0.05, 8 + 80_000)])
+    def test_grid_cap(self, tau, slots, case_a, monkeypatch):
+        # the default grid to t_end = 500 has m + n slots, checked before
+        # any buffer exists
+        _, coeffs, eq = case_a
+        monkeypatch.setattr(simulate_module, "MAX_STEPS", slots - 1)
+        with pytest.raises(GridTooLarge):
+            simulate(coeffs, tau, perturbed_history(eq), t_end=500.0)
+        monkeypatch.setattr(simulate_module, "MAX_STEPS", slots)
+        traj = simulate(coeffs, tau, perturbed_history(eq), t_end=500.0)
+        assert len(traj.times) == slots - round(tau / traj.step) + 1
+
+    def test_step_underflow_is_an_unbounded_grid(self, case_a):
+        # tau / 8 rounds to 0.0, so no finite grid reaches t_end
+        _, coeffs, eq = case_a
+        with pytest.raises(GridTooLarge):
+            simulate(coeffs, 5e-324, perturbed_history(eq), t_end=1.0)
+
+    @pytest.mark.parametrize("coeff_case", ["case_a", "case_b"])
+    def test_zero_delay_matches_ode_rk4(self, coeff_case, request):
+        # at tau = 0 the delayed kernel must reduce to plain RK4 on the ODE
+        _, coeffs, eq = request.getfixturevalue(coeff_case)
+        hist = perturbed_history(eq)
+        traj = simulate(coeffs, 0.0, hist, t_end=50.0)
+        ref = rk4_ode_reference(coeffs, hist.beta, hist.lambda_, 0.01,
+                                len(traj.times) - 1)
+        assert np.max(np.abs(traj.beta - ref[:, 0])) < 1e-12
+        assert np.max(np.abs(traj.lambda_ - ref[:, 1])) < 1e-12
+
     def test_delayed_lookup_matches_dense_history(self, case_a):
         # the same run at two step refinements agrees closely, which
         # exercises both exact-node and Hermite mid-step lookups
@@ -118,6 +168,37 @@ class TestIntegrator:
         a = simulate(coeffs, TAU0_A, hist, t_end=30.0, step_hint=TAU0_A / 8)
         b = simulate(coeffs, TAU0_A, hist, t_end=30.0, step_hint=TAU0_A / 16)
         assert abs(a.beta[-1] - b.beta[-1]) < 1e-9
+
+
+# sha256 of the times, beta and lambda_ bytes: a change to any of them is an
+# output format change and must be documented
+PINNED_DIGESTS = {
+    "A_tau0.05": "c8d6c3a901b4b3e21a0a490fbcdf75f5c25a73ed26536ff16aa0b09e192e0ca7",
+    "B_tau0.05": "d88f0b1324291e1265e2bde12322d60159c3c184473fd2cf46a046aa0cf64cae",
+    "A_tau0_step16": "3b6e8775e0d17404dabfae98b9c1a005e56146604cc1bf1e8a2c4794c3e4e315",
+    "A_overflow": "0d9c76ae870c7b23f848391e0b7c12310cc514ff261826f95bd75910113b3ab5",
+    "A_axis_beta0": "b3aa55077db164f22d1afb6a60719a8e6b389d58a468f7e5c3908aa6a8cd5656",
+    "B_tau0": "4330fb36567078a063568ce78e74c4da6b83d0c6d053a2ea106dde11f41b277d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_trajectory_bytes_are_pinned(name, case_a, case_b):
+    _, coeffs, eq = case_a if name.startswith("A") else case_b
+    runs = {
+        "A_tau0.05": (0.05, perturbed_history(eq), 500.0, None),
+        "B_tau0.05": (0.05, perturbed_history(eq), 500.0, None),
+        "A_tau0_step16": (TAU0_A, perturbed_history(eq), 500.0, TAU0_A / 16),
+        "A_overflow": (0.05, HistorySpec(beta=50.0, lambda_=0.0), 200.0, None),
+        "A_axis_beta0": (0.05, HistorySpec(beta=0.0, lambda_=0.4), 20.0, None),
+        "B_tau0": (0.0, perturbed_history(eq), 500.0, None),
+    }
+    tau, hist, t_end, step_hint = runs[name]
+    traj = simulate(coeffs, tau, hist, t_end, step_hint=step_hint)
+    digest = hashlib.sha256()
+    for values in (traj.times, traj.beta, traj.lambda_):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == PINNED_DIGESTS[name]
 
 
 class TestRegimes:
