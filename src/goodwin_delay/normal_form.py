@@ -54,30 +54,34 @@ class GCoefficients:
 
 @dataclass(frozen=True)
 class WFunctions:
-    """Closed-form second-order center-manifold corrections."""
+    """Closed-form second-order center-manifold corrections, as (beta, lambda)
+    pairs; q(0) = (1, alpha)."""
 
     ep: EigenPair
     g20: complex
     g11: complex
     g02: complex
-    E1: np.ndarray
-    E2: np.ndarray
+    E1: tuple[complex, complex]
+    E2: tuple[float, float]
 
-    def w20(self, theta: float) -> np.ndarray:
+    def w20(self, theta: float) -> tuple[complex, complex]:
         wt = self.ep.omega * self.ep.tau_k
-        q0 = self.ep.q(0.0)
-        return ((1j * self.g20 / wt) * q0 * cmath.exp(1j * wt * theta)
-                + (1j * np.conj(self.g02) / (3.0 * wt)) * np.conj(q0)
-                * cmath.exp(-1j * wt * theta)
-                + self.E1 * cmath.exp(2j * wt * theta))
+        a = self.ep.alpha
+        cq = 1j * self.g20 / wt
+        cqb = 1j * self.g02.conjugate() / (3.0 * wt)
+        up, down = cmath.exp(1j * wt * theta), cmath.exp(-1j * wt * theta)
+        twice = cmath.exp(2j * wt * theta)
+        return (cq * up + cqb * down + self.E1[0] * twice,
+                cq * a * up + cqb * a.conjugate() * down + self.E1[1] * twice)
 
-    def w11(self, theta: float) -> np.ndarray:
+    def w11(self, theta: float) -> tuple[complex, complex]:
         wt = self.ep.omega * self.ep.tau_k
-        q0 = self.ep.q(0.0)
-        return ((-1j * self.g11 / wt) * q0 * cmath.exp(1j * wt * theta)
-                + (1j * np.conj(self.g11) / wt) * np.conj(q0)
-                * cmath.exp(-1j * wt * theta)
-                + self.E2)
+        a = self.ep.alpha
+        cq = -1j * self.g11 / wt
+        cqb = 1j * self.g11.conjugate() / wt
+        up, down = cmath.exp(1j * wt * theta), cmath.exp(-1j * wt * theta)
+        return (cq * up + cqb * down + self.E2[0],
+                cq * a * up + cqb * a.conjugate() * down + self.E2[1])
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,12 @@ def eigen_pair(eq: Equilibrium, coeffs: SubsystemCoefficients,
     gc, wd, d0 = coeffs.growth_coupling, coeffs.wage_damping, coeffs.delta0
     alpha = (gc * be - 1j * omega) / (d0 * be)
     alpha_star = (1j * omega - wd * le) / (d0 * be)
-    denom = (np.conj(alpha_star) + alpha
+    denom = (alpha_star.conjugate() + alpha
              + tau_k * cmath.exp(-1j * omega * tau_k) * coeffs.rho1 * le)
     if abs(denom) < 1e-12:
         raise DegenerateNormalization(f"normalization denominator {denom!r}")
     # B-bar = 1/denom, so B is the conjugate reciprocal
-    return EigenPair(alpha=alpha, alpha_star=alpha_star, B=np.conj(1.0 / denom),
+    return EigenPair(alpha=alpha, alpha_star=alpha_star, B=(1.0 / denom).conjugate(),
                      omega=omega, tau_k=tau_k)
 
 
@@ -123,9 +127,9 @@ def _quadratic_g(ep: EigenPair, coeffs: SubsystemCoefficients) -> tuple[complex,
     gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
                       coeffs.delta0, coeffs.rho1)
     a = ep.alpha
-    ca = np.conj(a)
-    cas = np.conj(ep.alpha_star)
-    Bbar = np.conj(ep.B)
+    ca = a.conjugate()
+    cas = ep.alpha_star.conjugate()
+    Bbar = ep.B.conjugate()
     tk = ep.tau_k
     em = cmath.exp(-1j * ep.omega * tk)
     epl = cmath.exp(1j * ep.omega * tk)
@@ -137,20 +141,23 @@ def _quadratic_g(ep: EigenPair, coeffs: SubsystemCoefficients) -> tuple[complex,
     return g20, g11, g02
 
 
-def _check_solve(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    scale = max(1.0, float(np.max(np.abs(M))) ** 2)
+def _check_solve(m00, m01, m10, m11, r0, r1, what: str) -> tuple:
+    """Solve [[m00, m01], [m10, m11]] x = (r0, r1) in closed form, guarded
+    by a scaled determinant test and a back-substitution residual test."""
+    det = m00 * m11 - m01 * m10
+    scale = max(1.0, max(abs(m00), abs(m01), abs(m10), abs(m11)) ** 2)
     if abs(det) < 1e-12 * scale:
         raise SingularSystem(f"{what}: determinant {det!r}")
-    sol = np.linalg.solve(M, rhs)
-    res = np.max(np.abs(M @ sol - rhs))
-    if res > LINEAR_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs)))):
+    x0 = (r0 * m11 - m01 * r1) / det
+    x1 = (m00 * r1 - r0 * m10) / det
+    res = max(abs(m00 * x0 + m01 * x1 - r0), abs(m10 * x0 + m11 * x1 - r1))
+    if res > LINEAR_RESIDUAL_TOL * max(1.0, abs(r0), abs(r1)):
         raise ResidualCheckFailed(f"{what}: residual {res!r}")
-    return sol
+    return x0, x1
 
 
 def solve_E1(ep: EigenPair, eq: Equilibrium,
-             coeffs: SubsystemCoefficients) -> np.ndarray:
+             coeffs: SubsystemCoefficients) -> tuple[complex, complex]:
     """Constant vector of the e^{2*i*omega*tau_k*theta} correction term."""
     gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
                       coeffs.delta0, coeffs.rho1)
@@ -158,46 +165,38 @@ def solve_E1(ep: EigenPair, eq: Equilibrium,
     a = ep.alpha
     w, tk = ep.omega, ep.tau_k
     em = cmath.exp(-1j * w * tk)
-    M = np.array([
-        [2j * w - gc * be, d0 * le],
-        [-gc * le - r1 * le * cmath.exp(-2j * w * tk), 2j * w + wd * le],
-    ], dtype=complex)
-    rhs = np.array([
-        2 * gc - 2 * a * d0,
-        2 * gc * a - 2 * a * a * wd + 2 * r1 * a * em,
-    ], dtype=complex)
-    return _check_solve(M, rhs, "E1")
+    return _check_solve(
+        2j * w - gc * be, d0 * le,
+        -gc * le - r1 * le * cmath.exp(-2j * w * tk), 2j * w + wd * le,
+        2 * gc - 2 * a * d0, 2 * gc * a - 2 * a * a * wd + 2 * r1 * a * em, "E1")
 
 
 def solve_E2(ep: EigenPair, eq: Equilibrium,
-             coeffs: SubsystemCoefficients) -> np.ndarray:
+             coeffs: SubsystemCoefficients) -> tuple[float, float]:
     """Constant vector of the zero-frequency correction term (real)."""
     gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
                       coeffs.delta0, coeffs.rho1)
     be, le = eq.beta_e, eq.lambda_e
     a = ep.alpha
     epl = cmath.exp(1j * ep.omega * ep.tau_k)
-    M = np.array([
-        [gc * be, -d0 * le],
-        [(gc + r1) * le, -wd * le],
-    ], dtype=float)
-    rhs_c = -np.array([
-        2 * gc - a * d0 - np.conj(a) * d0,
-        2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real,
-    ], dtype=complex)
-    if np.max(np.abs(rhs_c.imag)) > 1e-12:
+    rhs0 = 2 * gc - a * d0 - a.conjugate() * d0
+    # unreachable in practice: the imaginary parts of a*d0 and conj(a)*d0
+    # cancel exactly, so no input has been found that trips this guard
+    if abs(rhs0.imag) > 1e-12:
         raise ResidualCheckFailed(
-            f"E2 right-hand side not real: imag {rhs_c.imag!r}")
-    return _check_solve(M, rhs_c.real.astype(float), "E2")
+            f"E2: right-hand side not real: imag {rhs0.imag!r}")
+    rhs1 = 2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real
+    return _check_solve(gc * be, -d0 * le, (gc + r1) * le, -wd * le,
+                        -rhs0.real, -rhs1, "E2")
 
 
 def _g21(ep: EigenPair, coeffs: SubsystemCoefficients, W: WFunctions) -> complex:
     gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
                       coeffs.delta0, coeffs.rho1)
     a = ep.alpha
-    ca = np.conj(a)
-    cas = np.conj(ep.alpha_star)
-    Bbar = np.conj(ep.B)
+    ca = a.conjugate()
+    cas = ep.alpha_star.conjugate()
+    Bbar = ep.B.conjugate()
     tk = ep.tau_k
     em = cmath.exp(-1j * ep.omega * tk)
     epl = cmath.exp(1j * ep.omega * tk)
@@ -234,9 +233,8 @@ def lyapunov_quantities(g: GCoefficients, omega: float, tau_k: float,
     if re_lambda_prime == 0.0:
         raise ZeroTransversality("Re lambda'(tau_k) = 0")
     wt = omega * tau_k
-    # complex(): the g's are numpy scalars; the report holds Python numbers
-    c1 = complex((1j / (2.0 * wt)) * (g.g11 * g.g20 - 2.0 * abs(g.g11) ** 2
-                                      - abs(g.g02) ** 2 / 3.0) + g.g21 / 2.0)
+    c1 = ((1j / (2.0 * wt)) * (g.g11 * g.g20 - 2.0 * abs(g.g11) ** 2
+                               - abs(g.g02) ** 2 / 3.0) + g.g21 / 2.0)
     mu2_bar = -c1.real / re_lambda_prime
     beta2 = 2.0 * c1.real
     if abs(c1) < DEGENERATE_C1_TOL:

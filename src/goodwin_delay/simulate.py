@@ -48,8 +48,6 @@ class Trajectory:
 
 
 def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
-    if step_hint is not None and step_hint <= 0:
-        raise StepTooLarge("step hint must be positive")
     if tau == 0.0:
         return 0, step_hint or 0.01
     if step_hint is None:
@@ -72,9 +70,11 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     check_delay(tau)
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    for name, value in (("step hint", step_hint), ("history beta", history.beta),
+    if step_hint is not None and not (math.isfinite(step_hint) and step_hint > 0):
+        raise ValueError(f"step hint must be finite and positive, got {step_hint!r}")
+    for name, value in (("history beta", history.beta),
                         ("history lambda", history.lambda_)):
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     m, h = _resolve_step(tau, step_hint)
     span = t_end / h - 1e-9 if h > 0 else math.inf

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the code paths under test: root
 counting goes through the argument principle, projection coefficients
-through finite differences, and linear solves through Cramer's rule.
+through finite differences, and linear solves through high-precision
+mpmath LU.
 """
 
 import cmath
 import math
 
 import numpy as np
+from mpmath import mp
 
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.spectral import char_coefficients, classify_h
@@ -102,12 +104,12 @@ def fd_quadratic_g(ep, coeffs, step=1e-5):
     return g20, g11, g02
 
 
-def cramer_solve(M, rhs):
-    """2x2 solve by Cramer's rule (independent of numpy.linalg)."""
-    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    x0 = (rhs[0] * M[1][1] - M[0][1] * rhs[1]) / det
-    x1 = (M[0][0] * rhs[1] - rhs[0] * M[1][0]) / det
-    return np.array([x0, x1])
+def mp_solve(M, rhs):
+    """2x2 solve by mpmath LU at 40 significant digits (independent of the
+    library's closed-form double-precision solve)."""
+    with mp.workdps(40):
+        x = mp.lu_solve(mp.matrix(M), mp.matrix(rhs))
+        return np.array([complex(x[0]), complex(x[1])])
 
 
 def bilinear_inner_product(ep, coeffs, eq):

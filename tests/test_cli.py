@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import importlib
 import json
 
 import pytest
 
+from goodwin_delay import normal_form
 from goodwin_delay.cli import main
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.normal_form import hopf_analysis
@@ -115,6 +117,21 @@ class TestAnalyze:
         assert err.startswith("config error: jmax") and err.count("\n") == 1
         assert not (out / "analysis.json").exists()
 
+    def test_singular_system_exits_2(self, config_a, tmp_path, capsys, monkeypatch):
+        # no valid configuration makes E2 singular (gc = rho1 = 0 leaves the
+        # equilibrium undefined), so feed the real solver singular coefficients
+        real_solve = normal_form.solve_E2
+
+        def singular_solve(ep, eq, coeffs):
+            return real_solve(ep, eq, dataclasses.replace(
+                coeffs, growth_coupling=0.0, rho1=0.0))
+
+        monkeypatch.setattr(normal_form, "solve_E2", singular_solve)
+        rc = main(["analyze", "--config", config_a, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("analysis error: E2: determinant ")
+
     def test_determinism(self, config_a, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -175,6 +192,17 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", ["--step=0", "--step=-0.01"])
+    def test_non_positive_step_exits_1(self, step, config_a, tmp_path, capsys):
+        out = tmp_path / "never"
+        rc = main(["simulate", "--config", config_a, "--tau", "0.05",
+                   "--t-end", "50", "--out", str(out), step])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: step hint must be finite and positive")
         assert not out.exists()
 
     def test_grid_too_large_exits_3(self, config_a, tmp_path, capsys,

@@ -1,9 +1,16 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
-from goodwin_delay.errors import DegenerateNormalization, ZeroTransversality
+from goodwin_delay import normal_form
+from goodwin_delay.errors import (
+    DegenerateNormalization,
+    ResidualCheckFailed,
+    SingularSystem,
+    ZeroTransversality,
+)
 from goodwin_delay.normal_form import (
     EigenPair,
     GCoefficients,
@@ -20,12 +27,13 @@ from goodwin_delay.spectral import analyze_spectrum
 
 from helpers import (
     bilinear_inner_product,
-    cramer_solve,
     fd_quadratic_g,
+    mp_solve,
     sample_crossing_set,
 )
 
 C1_REF = 0.0013216356828792731 - 0.013656094307539212j
+C1_REF_B = 0.0006737422835132387 - 0.007499412084727984j
 
 
 @pytest.fixture
@@ -44,6 +52,33 @@ def operator_matrices(coeffs, eq):
     J0 = np.array([[gc * be, -d0 * be], [gc * le, -wd * le]])
     Jt = np.array([[0.0, 0.0], [r1 * le, 0.0]])
     return J0, Jt
+
+
+def e1_system(ep, eq, coeffs):
+    """Matrix and right-hand side of the E1 system, written out afresh."""
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    be, le = eq.beta_e, eq.lambda_e
+    w, tk = ep.omega, ep.tau_k
+    a = ep.alpha
+    em = cmath.exp(-1j * w * tk)
+    M = [[2j * w - gc * be, d0 * le],
+         [-gc * le - r1 * le * cmath.exp(-2j * w * tk), 2j * w + wd * le]]
+    rhs = [2 * gc - 2 * a * d0, 2 * gc * a - 2 * a * a * wd + 2 * r1 * a * em]
+    return M, rhs
+
+
+def e2_system(ep, eq, coeffs):
+    """Matrix and (real) right-hand side of the E2 system."""
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    be, le = eq.beta_e, eq.lambda_e
+    a = ep.alpha
+    epl = cmath.exp(1j * ep.omega * ep.tau_k)
+    M = [[gc * be, -d0 * le], [(gc + r1) * le, -wd * le]]
+    rhs = [-(2 * gc - 2 * (a * d0).real),
+           -(2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real)]
+    return M, rhs
 
 
 class TestEigenPair:
@@ -160,36 +195,33 @@ class TestCorrectionSolves:
     def test_e1_residual_and_cramer(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         E1 = solve_E1(ep, eq, coeffs)
-        gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
-                          coeffs.delta0, coeffs.rho1)
-        be, le = eq.beta_e, eq.lambda_e
-        w, tk = ep.omega, ep.tau_k
-        a = ep.alpha
-        em = cmath.exp(-1j * w * tk)
-        M = [[2j * w - gc * be, d0 * le],
-             [-gc * le - r1 * le * cmath.exp(-2j * w * tk), 2j * w + wd * le]]
-        rhs = [2 * gc - 2 * a * d0, 2 * gc * a - 2 * a * a * wd + 2 * r1 * a * em]
+        M, rhs = e1_system(ep, eq, coeffs)
         res = np.array([M[0][0] * E1[0] + M[0][1] * E1[1] - rhs[0],
                         M[1][0] * E1[0] + M[1][1] * E1[1] - rhs[1]])
         assert np.max(np.abs(res)) < 1e-12
-        assert np.max(np.abs(E1 - cramer_solve(M, rhs))) < 1e-12
+        assert np.max(np.abs(np.array(E1) - mp_solve(M, rhs))) < 1e-12
 
     def test_e2_residual_and_cramer(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         E2 = solve_E2(ep, eq, coeffs)
-        assert np.max(np.abs(E2.imag)) == 0.0  # solved as a real system
-        gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
-                          coeffs.delta0, coeffs.rho1)
-        be, le = eq.beta_e, eq.lambda_e
-        a = ep.alpha
-        epl = cmath.exp(1j * ep.omega * ep.tau_k)
-        M = [[gc * be, -d0 * le], [(gc + r1) * le, -wd * le]]
-        rhs = [-(2 * gc - 2 * (a * d0).real),
-               -(2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real)]
+        assert all(type(x) is float for x in E2)  # solved as a real system
+        M, rhs = e2_system(ep, eq, coeffs)
         res = np.array([M[0][0] * E2[0] + M[0][1] * E2[1] - rhs[0],
                         M[1][0] * E2[0] + M[1][1] * E2[1] - rhs[1]])
         assert np.max(np.abs(res)) < 1e-12
-        assert np.max(np.abs(E2 - cramer_solve(M, rhs).real)) < 1e-12
+        assert np.max(np.abs(np.array(E2) - mp_solve(M, rhs).real)) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_solves_match_high_precision_on_samples(self, variant):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            _, coeffs, eq, c, h = sample_crossing_set(rng, variant)
+            rep = analyze_spectrum(eq, coeffs)
+            ep = eigen_pair(eq, coeffs, rep.omega0, rep.tau0)
+            for solve, system in ((solve_E1, e1_system), (solve_E2, e2_system)):
+                ref = mp_solve(*system(ep, eq, coeffs))
+                err = np.max(np.abs(np.array(solve(ep, eq, coeffs)) - ref))
+                assert err <= 1e-12 * np.max(np.abs(ref))
 
     def test_e2_determinant_closed_form(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
@@ -200,6 +232,27 @@ class TestCorrectionSolves:
         closed = le * (d0 * le * (gc + r1) - gc * wd * be)
         assert det == pytest.approx(closed, rel=1e-12)
         assert abs(det) > 1e-6  # well away from the singular guard
+
+
+class TestSolveGuards:
+    # The E2 guard "right-hand side not real" has no test: the imaginary
+    # parts of a*d0 and conj(a)*d0 cancel exactly in floating point, so no
+    # input reaches it.
+
+    def test_singular_e2_raises(self, case_a_pair):
+        # gc = rho1 = 0 zeroes the first column of E2's matrix: det is exactly 0
+        coeffs, eq, rep, ep = case_a_pair
+        singular = dataclasses.replace(coeffs, growth_coupling=0.0, rho1=0.0)
+        with pytest.raises(SingularSystem, match=r"^E2: determinant "):
+            solve_E2(ep, eq, singular)
+
+    @pytest.mark.parametrize("solve, prefix", [(solve_E1, "E1"), (solve_E2, "E2")],
+                             ids=["E1", "E2"])
+    def test_residual_guard(self, solve, prefix, case_a_pair, monkeypatch):
+        coeffs, eq, rep, ep = case_a_pair
+        monkeypatch.setattr(normal_form, "LINEAR_RESIDUAL_TOL", -1.0)
+        with pytest.raises(ResidualCheckFailed, match=rf"^{prefix}: residual "):
+            solve(ep, eq, coeffs)
 
 
 class TestWFunctions:
@@ -213,8 +266,8 @@ class TestWFunctions:
         wt = ep.omega * ep.tau_k
         h = 1e-6
         for theta in (-0.8, -0.5, -0.2):
-            deriv = (W.w20(theta + h) - W.w20(theta - h)) / (2 * h)
-            rhs = (2j * wt * W.w20(theta) + g20 * ep.q(theta)
+            deriv = (np.array(W.w20(theta + h)) - np.array(W.w20(theta - h))) / (2 * h)
+            rhs = (2j * wt * np.array(W.w20(theta)) + g20 * ep.q(theta)
                    + np.conj(g02) * np.conj(ep.q(theta)))
             assert np.max(np.abs(deriv - rhs)) < 1e-6
 
@@ -225,7 +278,7 @@ class TestWFunctions:
                        E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
         h = 1e-6
         for theta in (-0.7, -0.3):
-            deriv = (W.w11(theta + h) - W.w11(theta - h)) / (2 * h)
+            deriv = (np.array(W.w11(theta + h)) - np.array(W.w11(theta - h))) / (2 * h)
             rhs = g11 * ep.q(theta) + np.conj(g11) * np.conj(ep.q(theta))
             assert np.max(np.abs(deriv - rhs)) < 1e-6
 
@@ -254,6 +307,14 @@ class TestLyapunov:
         assert hopf.beta2 == 2.0 * hopf.c1_0.real
         assert hopf.period_estimate == pytest.approx(8.874, abs=1e-3)
         assert not hopf.extrapolated
+
+    @pytest.mark.parametrize("case, ref", [("case_a", C1_REF), ("case_b", C1_REF_B)],
+                             ids=["A", "B"])
+    def test_c1_pinned(self, case, ref, request):
+        # full-precision values of the LAPACK-solve implementation
+        _, coeffs, eq = request.getfixturevalue(case)
+        c1 = hopf_analysis(eq, coeffs, analyze_spectrum(eq, coeffs)).c1_0
+        assert abs(c1 - ref) <= 1e-13 * abs(ref)
 
     def test_case_b_extrapolated_flag(self, case_b):
         _, coeffs, eq = case_b

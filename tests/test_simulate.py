@@ -97,7 +97,7 @@ class TestIntegrator:
         with pytest.raises(StepTooLarge):
             simulate(coeffs, 0.05, perturbed_history(eq), t_end=1.0,
                      step_hint=0.05)  # m = 1 < 4
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(ValueError):
             simulate(coeffs, 0.05, perturbed_history(eq), t_end=1.0,
                      step_hint=-0.01)
 
