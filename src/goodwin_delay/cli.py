@@ -19,6 +19,7 @@ from .errors import (
     ConstraintViolation,
     GoodwinDelayError,
     GridTooLarge,
+    InvalidInput,
     MissingField,
     NoOscillation,
     StepTooLarge,
@@ -59,11 +60,11 @@ def _write_json(path: Path, doc: dict) -> None:
                     encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Write the header and then LINES, each a formatted row ending in a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def _load_params(args):
@@ -79,7 +80,7 @@ def _outdir(args) -> Path:
 def _check_probe(jmax: int, taus) -> None:
     """Reject a negative ladder depth or a bad delay before any analysis."""
     if jmax < 0:
-        raise ValueError(f"jmax must be nonnegative, got {jmax}")
+        raise InvalidInput(f"jmax must be nonnegative, got {jmax}")
     for tau in taus:
         check_delay(tau)
 
@@ -144,8 +145,9 @@ def cmd_simulate(args) -> int:
     traj = simulate(coeffs, args.tau, HistorySpec(beta=b0, lambda_=l0),
                     args.t_end, step_hint=args.step)
     out = _outdir(args)
+    rows = zip(traj.times.tolist(), traj.beta.tolist(), traj.lambda_.tolist())
     _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"],
-               zip(traj.times.tolist(), traj.beta.tolist(), traj.lambda_.tolist()))
+               ("%r,%r,%r\n" % row for row in rows))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -175,19 +177,33 @@ def _captured(analysis, *args):
         return exc
 
 
-def _sweep_row(value, tau, analysis, with_hopf: bool) -> list:
-    """One sweep row; an analysis error fills the row as its class name."""
+def _cells(values) -> str:
+    return "".join("," + _fmt(v) for v in values)
+
+
+def _sweep_cells(analysis, with_hopf: bool) -> tuple[str, str]:
+    """The cells of a row that do not depend on its delay, formatted once:
+    those between the value and the verdict, and those after the verdict.
+    An analysis error blanks them all and names its class in the error cell."""
+    hopf_blank = "," * len(HOPF_COLUMNS) if with_hopf else ""
     if isinstance(analysis, GoodwinDelayError):
-        blank = SWEEP_COLUMNS + HOPF_COLUMNS if with_hopf else SWEEP_COLUMNS
-        return [value] + [None] * len(blank) + [type(analysis).__name__]
+        return "," * (len(SWEEP_COLUMNS) - 1), f"{hopf_blank},{type(analysis).__name__}"
     eq, report, hopf = analysis
     c = report.coefficients
-    row = [value, eq.beta_e, eq.lambda_e, c.p0, c.r0, c.q0, report.h_case.tag,
-           report.tau0, verdict_at(report, tau).kind]
-    if with_hopf:
-        row += [hopf.c1_0.real, hopf.c1_0.imag, hopf.mu2_bar, hopf.beta2,
-                hopf.direction, hopf.orbit_stability] if hopf else [None] * 6
-    return row + [""]
+    head = _cells([eq.beta_e, eq.lambda_e, c.p0, c.r0, c.q0, report.h_case.tag,
+                   report.tau0])
+    if with_hopf and hopf:
+        hopf_blank = _cells([hopf.c1_0.real, hopf.c1_0.imag, hopf.mu2_bar,
+                             hopf.beta2, hopf.direction, hopf.orbit_stability])
+    return head, hopf_blank + ","
+
+
+def _sweep_line(value, tau, analysis, cells: tuple[str, str]) -> str:
+    """One sweep row: its value and its verdict at TAU around the cells."""
+    head, tail = cells
+    verdict = ("" if isinstance(analysis, GoodwinDelayError)
+               else verdict_at(analysis[1], tau).kind)
+    return f"{value!r}{head},{verdict}{tail}\n"
 
 
 def cmd_sweep(args) -> int:
@@ -208,19 +224,23 @@ def cmd_sweep(args) -> int:
     _check_probe(args.jmax, values if args.param == "tau" else [args.tau])
     out = _outdir(args)
     if args.param == "tau":
-        # only the verdict depends on tau: analyze once, classify per row
+        # only the verdict depends on tau: analyze and format once, classify per row
         analysis = _captured(_analysis, p, args.variant, args.jmax, args.with_hopf)
-        rows = [_sweep_row(tau, tau, analysis, args.with_hopf) for tau in values]
+        cells = _sweep_cells(analysis, args.with_hopf)
+        lines = [_sweep_line(tau, tau, analysis, cells) for tau in values]
     else:
         def analysis_at(value):
             row_p = validate_parameters({**raw, args.param: value})
             return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
-        rows = [_sweep_row(v, args.tau, _captured(analysis_at, v), args.with_hopf)
-                for v in values]
+        lines = []
+        for v in values:
+            analysis = _captured(analysis_at, v)
+            cells = _sweep_cells(analysis, args.with_hopf)
+            lines.append(_sweep_line(v, args.tau, analysis, cells))
     hopf_columns = HOPF_COLUMNS if args.with_hopf else []
     header = [args.param, *SWEEP_COLUMNS, *hopf_columns, "error"]
-    _write_csv(out / "sweep.csv", header, rows)
-    print(f"wrote {len(rows)} rows to {out / 'sweep.csv'}")
+    _write_csv(out / "sweep.csv", header, lines)
+    print(f"wrote {len(lines)} rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 

@@ -5,6 +5,10 @@ class GoodwinDelayError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(GoodwinDelayError, ValueError):
+    """A delay, horizon, step, history or ladder depth that is out of range."""
+
+
 class MissingField(GoodwinDelayError):
     def __init__(self, name: str):
         super().__init__(f"missing parameter field: {name!r}")

@@ -13,8 +13,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateNormalization,
     ResidualCheckFailed,
@@ -36,12 +34,13 @@ class EigenPair:
     omega: float
     tau_k: float
 
-    def q(self, theta: float) -> np.ndarray:
-        return np.array([1.0, self.alpha]) * cmath.exp(1j * self.omega * self.tau_k * theta)
+    def q(self, theta: float) -> tuple[complex, complex]:
+        e = cmath.exp(1j * self.omega * self.tau_k * theta)
+        return e, self.alpha * e
 
-    def q_star(self, s: float) -> np.ndarray:
-        return self.B * np.array([self.alpha_star, 1.0]) * cmath.exp(
-            1j * self.omega * self.tau_k * s)
+    def q_star(self, s: float) -> tuple[complex, complex]:
+        e = cmath.exp(1j * self.omega * self.tau_k * s)
+        return self.B * self.alpha_star * e, self.B * e
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import GridTooLarge, NoOscillation, StepTooLarge, WindowTooShort
+from .errors import (GridTooLarge, InvalidInput, NoOscillation, StepTooLarge,
+                     WindowTooShort)
 from .model import SubsystemCoefficients
 from .spectral import check_delay
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OVERFLOW_LIMIT = 1e6
 # Cap on the grid slots m + n of one run: at about 128 bytes per slot at
@@ -67,15 +70,19 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     Returns a uniform-grid trajectory starting at t = 0.  If the state
     magnitude exceeds 1e6 the run is truncated and flagged.
     """
+    # numpy loads with the first run, so an analysis never imports it; the
+    # import comes before the grid lists are allocated, where it measured faster
+    import numpy as np
+
     check_delay(tau)
     if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+        raise InvalidInput(f"t_end must be finite and positive, got {t_end!r}")
     if step_hint is not None and not (math.isfinite(step_hint) and step_hint > 0):
-        raise ValueError(f"step hint must be finite and positive, got {step_hint!r}")
+        raise InvalidInput(f"step hint must be finite and positive, got {step_hint!r}")
     for name, value in (("history beta", history.beta),
                         ("history lambda", history.lambda_)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise InvalidInput(f"{name} must be finite, got {value!r}")
     m, h = _resolve_step(tau, step_hint)
     span = t_end / h - 1e-9 if h > 0 else math.inf
     if m + span > MAX_STEPS:
@@ -94,28 +101,31 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     db = (b0 + gc * b - d0 * lam) * b  # beta derivative, for Hermite midpoints
 
     overflow = False
+    limit = OVERFLOW_LIMIT
     h2, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
     last = n
+    # db is also each step's k1 for beta; r1 * X[i + 1] is the next step's
+    # delayed term at its left end
+    rd1 = r1 * X[0]
     for i in range(n):
-        bd0, bdm, bd1 = X[i], M[i], X[i + 1]
-        k1b = (b0 + gc * b - d0 * lam) * b
-        k1l = (lam0 - wd * lam + gl * b + r1 * bd0) * lam
-        b2, l2 = b + h2 * k1b, lam + h2 * k1l
+        rd0, rdm, rd1 = rd1, r1 * M[i], r1 * X[i + 1]
+        k1l = (lam0 - wd * lam + gl * b + rd0) * lam
+        b2, l2 = b + h2 * db, lam + h2 * k1l
         k2b = (b0 + gc * b2 - d0 * l2) * b2
-        k2l = (lam0 - wd * l2 + gl * b2 + r1 * bdm) * l2
+        k2l = (lam0 - wd * l2 + gl * b2 + rdm) * l2
         b3, l3 = b + h2 * k2b, lam + h2 * k2l
         k3b = (b0 + gc * b3 - d0 * l3) * b3
-        k3l = (lam0 - wd * l3 + gl * b3 + r1 * bdm) * l3
+        k3l = (lam0 - wd * l3 + gl * b3 + rdm) * l3
         b4, l4 = b + h * k3b, lam + h * k3l
         k4b = (b0 + gc * b4 - d0 * l4) * b4
-        k4l = (lam0 - wd * l4 + gl * b4 + r1 * bd1) * l4
-        b_new = b + h6 * (k1b + 2.0 * (k2b + k3b) + k4b)
+        k4l = (lam0 - wd * l4 + gl * b4 + rd1) * l4
+        b_new = b + h6 * (db + 2.0 * (k2b + k3b) + k4b)
         lam = lam + h6 * (k1l + 2.0 * (k2l + k3l) + k4l)
         db_new = (b0 + gc * b_new - d0 * lam) * b_new
         M[m + i] = 0.5 * (b + b_new) + h8 * (db - db_new)
         b, db = b_new, db_new
         X[m + i + 1], L[i + 1] = b, lam
-        if abs(b) > OVERFLOW_LIMIT or abs(lam) > OVERFLOW_LIMIT:
+        if abs(b) > limit or abs(lam) > limit:
             overflow = True
             last = i + 1
             break
@@ -133,6 +143,7 @@ def amplitude_envelope(traj: Trajectory, window: float):
 
     Returns (window_centers, beta_amplitude, lambda_amplitude).
     """
+    import numpy as np
     steps = int(round(window / traj.step))
     if steps < 5:
         raise WindowTooShort(f"window {window} spans {steps} < 5 steps")
@@ -153,6 +164,7 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
     Compares the geometric-mean per-window drift of the beta envelope
     (after a transient skip) against the drift tolerance.
     """
+    import numpy as np
     span = float(traj.times[-1] - traj.times[0])
     if window is None:
         window = span / 10.0
@@ -173,6 +185,7 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
 
 def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     """Mean spacing of alternate mean-crossings of beta in the tail."""
+    import numpy as np
     n = len(traj.times)
     start = int(n * (1.0 - tail_fraction))
     t = traj.times[start:]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     AcosDomain,
     DegenerateCrossing,
+    InvalidInput,
     NoCrossing,
     ResidualCheckFailed,
 )
@@ -228,7 +229,7 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
                      j_max: int = 3) -> SpectralReport:
     """Full spectral report: coefficients, H-case, ladders, tau0, slope."""
     if j_max < 0:
-        raise ValueError(f"j_max must be nonnegative, got {j_max!r}")
+        raise InvalidInput(f"j_max must be nonnegative, got {j_max!r}")
     c = char_coefficients(eq, coeffs)
     h = classify_h(c)
     stable0 = stable_at_zero_delay(c)
@@ -251,9 +252,9 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
 
 
 def check_delay(tau: float) -> None:
-    """Raise ValueError unless tau is a finite, nonnegative delay."""
+    """Raise InvalidInput unless tau is a finite, nonnegative delay."""
     if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and nonnegative, got {tau!r}")
+        raise InvalidInput(f"tau must be finite and nonnegative, got {tau!r}")
 
 
 def verdict_at(report: SpectralReport, tau: float) -> Verdict:

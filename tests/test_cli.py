@@ -1,15 +1,23 @@
 import csv
 import dataclasses
+import hashlib
 import importlib
 import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from goodwin_delay import normal_form
-from goodwin_delay.cli import main
+import goodwin_delay
+from goodwin_delay import errors, normal_form
+from goodwin_delay.cli import _check_probe, main
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.normal_form import hopf_analysis
-from goodwin_delay.spectral import stability_verdict
+from goodwin_delay.spectral import analyze_spectrum, check_delay, stability_verdict
 
 from helpers import CASE_A, CASE_B
 
@@ -352,3 +360,68 @@ class TestSweep:
         assert rc == 1
         assert capsys.readouterr().err.startswith("config error: tau")
         assert not (out / "sweep.csv").exists()
+
+
+# sha256 of sweep.csv: a change to any byte is an output format change and
+# must be documented
+PINNED_SWEEPS = {
+    "tau_B": (["--variant", "B", "--param", "tau", "--start", "0",
+               "--stop", "0.1", "--count", "101", "--with-hopf"],
+              "1abb91daebf9eec9be9ba1d3d5bb02bac00b4ef46ea1a555e0aa7a08ecf6fc3f"),
+    "delta_A": (["--param", "delta", "--start", "3.5", "--stop", "5",
+                 "--count", "101", "--tau", "0.03", "--with-hopf"],
+                "25c655a26c7f6d339c9766a4eb805b145ee43183ba53abcf84788d9c12a11abb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
+def test_sweep_bytes_are_pinned(name, config_a, config_b, tmp_path):
+    args, digest = PINNED_SWEEPS[name]
+    config = config_b if name.endswith("B") else config_a
+    assert main(["sweep", "--config", config, *args, "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        from goodwin_delay import cli
+        a, b, out = sys.argv[1:]
+        assert cli.main(["analyze", "--config", b, "--variant", "B",
+                         "--out", out]) == 0
+        assert cli.main(["sweep", "--config", a, "--param", "tau",
+                         "--start", "0", "--stop", "0.06", "--count", "61",
+                         "--with-hopf", "--out", out]) == 0
+        assert "numpy" not in sys.modules, "numpy imported"
+        assert cli.main(["simulate", "--config", a, "--tau", "0.05",
+                         "--t-end", "20", "--out", out]) == 0
+        assert "numpy" in sys.modules
+    """)
+    src = str(Path(goodwin_delay.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, config_a, config_b,
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("site", ["check_delay", "j_max", "jmax", "t_end",
+                                  "step_hint", "history"])
+def test_input_errors_are_typed(site, case_a):
+    _, coeffs, eq = case_a
+    hist = simulate_module.HistorySpec(beta=0.9, lambda_=0.7)
+    calls = {
+        "check_delay": lambda: check_delay(-1.0),
+        "j_max": lambda: analyze_spectrum(eq, coeffs, j_max=-1),
+        "jmax": lambda: _check_probe(-1, []),
+        "t_end": lambda: simulate_module.simulate(coeffs, 0.05, hist, math.inf),
+        "step_hint": lambda: simulate_module.simulate(coeffs, 0.05, hist, 10.0,
+                                                      step_hint=0.0),
+        "history": lambda: simulate_module.simulate(
+            coeffs, 0.05, simulate_module.HistorySpec(beta=math.nan, lambda_=0.7),
+            10.0),
+    }
+    with pytest.raises(errors.InvalidInput):
+        calls[site]()

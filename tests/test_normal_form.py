@@ -86,16 +86,17 @@ class TestEigenPair:
         coeffs, eq, rep, ep = case_a_pair
         J0, Jt = operator_matrices(coeffs, eq)
         tk = ep.tau_k
-        lhs = tk * (J0 @ ep.q(0.0) + Jt @ ep.q(-1.0))
-        rhs = 1j * ep.omega * tk * ep.q(0.0)
+        q0, q1 = np.array(ep.q(0.0)), np.array(ep.q(-1.0))
+        lhs = tk * (J0 @ q0 + Jt @ q1)
+        rhs = 1j * ep.omega * tk * q0
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_adjoint_eigenvector_residual(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         J0, Jt = operator_matrices(coeffs, eq)
         tk, w = ep.tau_k, ep.omega
-        qs0 = ep.q_star(0.0)
-        qs1 = ep.q_star(1.0)
+        qs0 = np.array(ep.q_star(0.0))
+        qs1 = np.array(ep.q_star(1.0))
         lhs = tk * (J0.T @ qs0 + Jt.T @ qs1)
         rhs = -1j * w * tk * qs0
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -267,8 +268,8 @@ class TestWFunctions:
         h = 1e-6
         for theta in (-0.8, -0.5, -0.2):
             deriv = (np.array(W.w20(theta + h)) - np.array(W.w20(theta - h))) / (2 * h)
-            rhs = (2j * wt * np.array(W.w20(theta)) + g20 * ep.q(theta)
-                   + np.conj(g02) * np.conj(ep.q(theta)))
+            q = np.array(ep.q(theta))
+            rhs = 2j * wt * np.array(W.w20(theta)) + g20 * q + np.conj(g02) * np.conj(q)
             assert np.max(np.abs(deriv - rhs)) < 1e-6
 
     def test_w11_satisfies_its_ode(self, case_a_pair):
@@ -279,7 +280,8 @@ class TestWFunctions:
         h = 1e-6
         for theta in (-0.7, -0.3):
             deriv = (np.array(W.w11(theta + h)) - np.array(W.w11(theta - h))) / (2 * h)
-            rhs = g11 * ep.q(theta) + np.conj(g11) * np.conj(ep.q(theta))
+            q = np.array(ep.q(theta))
+            rhs = g11 * q + np.conj(g11) * np.conj(q)
             assert np.max(np.abs(deriv - rhs)) < 1e-6
 
     def test_w_functions_are_real_valued_combinations(self, case_a_pair):
