@@ -9,12 +9,11 @@ from .model import (
     DerivedConstants,
     Equilibrium,
     ModelParameters,
-    State,
     SubsystemCoefficients,
     equilibrium,
+    replace_field,
     subsystem_coefficients,
     validate_parameters,
-    vector_field,
 )
 from .normal_form import HopfReport, eigen_pair, g_coefficients, hopf_analysis
 from .simulate import HistorySpec, Trajectory, simulate
@@ -25,12 +24,11 @@ __all__ = [
     "DerivedConstants",
     "Equilibrium",
     "ModelParameters",
-    "State",
     "SubsystemCoefficients",
     "equilibrium",
+    "replace_field",
     "subsystem_coefficients",
     "validate_parameters",
-    "vector_field",
     "HopfReport",
     "eigen_pair",
     "g_coefficients",

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -22,6 +23,7 @@ from .errors import (
     InvalidInput,
     MissingField,
     NoOscillation,
+    NotInteriorWarning,
     StepTooLarge,
     UnknownField,
     VariantConstraint,
@@ -31,6 +33,7 @@ from .model import (
     PARAM_FIELDS,
     equilibrium,
     load_config,
+    replace_field,
     subsystem_coefficients,
     validate_parameters,
 )
@@ -177,10 +180,6 @@ def _captured(analysis, *args):
         return exc
 
 
-def _cells(values) -> str:
-    return "".join("," + _fmt(v) for v in values)
-
-
 def _sweep_cells(analysis, with_hopf: bool) -> tuple[str, str]:
     """The cells of a row that do not depend on its delay, formatted once:
     those between the value and the verdict, and those after the verdict.
@@ -190,11 +189,13 @@ def _sweep_cells(analysis, with_hopf: bool) -> tuple[str, str]:
         return "," * (len(SWEEP_COLUMNS) - 1), f"{hopf_blank},{type(analysis).__name__}"
     eq, report, hopf = analysis
     c = report.coefficients
-    head = _cells([eq.beta_e, eq.lambda_e, c.p0, c.r0, c.q0, report.h_case.tag,
-                   report.tau0])
+    # floats as !r, which is str(float); tau0 may be None
+    head = (f",{eq.beta_e!r},{eq.lambda_e!r},{c.p0!r},{c.r0!r},{c.q0!r}"
+            f",{report.h_case.tag},{_fmt(report.tau0)}")
     if with_hopf and hopf:
-        hopf_blank = _cells([hopf.c1_0.real, hopf.c1_0.imag, hopf.mu2_bar,
-                             hopf.beta2, hopf.direction, hopf.orbit_stability])
+        c1 = hopf.c1_0
+        hopf_blank = (f",{c1.real!r},{c1.imag!r},{hopf.mu2_bar!r},{hopf.beta2!r}"
+                      f",{hopf.direction},{hopf.orbit_stability}")
     return head, hopf_blank + ","
 
 
@@ -207,8 +208,7 @@ def _sweep_line(value, tau, analysis, cells: tuple[str, str]) -> str:
 
 
 def cmd_sweep(args) -> int:
-    raw = load_config(args.config)
-    p = validate_parameters(raw)  # config-grade errors surface before the sweep
+    p = _load_params(args)  # config-grade errors surface before the sweep
     if args.param != "tau" and args.param not in PARAM_FIELDS:
         raise ConstraintViolation("param", args.param, "a sweep axis name")
     if args.count < 1 or args.count > MAX_SWEEP_POINTS:
@@ -223,24 +223,31 @@ def cmd_sweep(args) -> int:
         values = [args.start + i * step for i in range(args.count)]
     _check_probe(args.jmax, values if args.param == "tau" else [args.tau])
     out = _outdir(args)
-    if args.param == "tau":
-        # only the verdict depends on tau: analyze and format once, classify per row
-        analysis = _captured(_analysis, p, args.variant, args.jmax, args.with_hopf)
-        cells = _sweep_cells(analysis, args.with_hopf)
-        lines = [_sweep_line(tau, tau, analysis, cells) for tau in values]
-    else:
-        def analysis_at(value):
-            row_p = validate_parameters({**raw, args.param: value})
-            return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
-        lines = []
-        for v in values:
-            analysis = _captured(analysis_at, v)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NotInteriorWarning)
+        if args.param == "tau":
+            # only the verdict depends on tau: analyze and format once, classify per row
+            analysis = _captured(_analysis, p, args.variant, args.jmax, args.with_hopf)
             cells = _sweep_cells(analysis, args.with_hopf)
-            lines.append(_sweep_line(v, args.tau, analysis, cells))
+            lines = [_sweep_line(tau, tau, analysis, cells) for tau in values]
+        else:
+            def analysis_at(value):
+                row_p = replace_field(p, args.param, value)
+                return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
+            lines = []
+            for v in values:
+                analysis = _captured(analysis_at, v)
+                cells = _sweep_cells(analysis, args.with_hopf)
+                lines.append(_sweep_line(v, args.tau, analysis, cells))
+    # one stderr line instead of a warning per row (the analysis raises no
+    # other warning); a tau sweep's rows share one equilibrium
+    outside = len(caught) * (len(values) if args.param == "tau" else 1)
     hopf_columns = HOPF_COLUMNS if args.with_hopf else []
     header = [args.param, *SWEEP_COLUMNS, *hopf_columns, "error"]
     _write_csv(out / "sweep.csv", header, lines)
     print(f"wrote {len(lines)} rows to {out / 'sweep.csv'}")
+    if outside:
+        print(f"{outside} rows have an equilibrium outside (0,1)^2", file=sys.stderr)
     return EXIT_OK
 
 

@@ -92,12 +92,6 @@ class Equilibrium:
     lambda_star: float | None = None  # variant B consistency value
 
 
-@dataclass(frozen=True)
-class State:
-    beta: float
-    lambda_: float
-
-
 def derive_constants(raw: dict) -> DerivedConstants:
     g = raw["c"] - (raw["s_pi"] - raw["s_w"])
     den = 1.0 - raw["a3"] * raw["b3"]
@@ -106,26 +100,51 @@ def derive_constants(raw: dict) -> DerivedConstants:
     return DerivedConstants(g=g, rho0=rho0, rho1=rho1)
 
 
+# (field a violation names, fields the check reads, check, constraint text),
+# checked in this order
 _CONSTRAINTS = (
-    ("mu1", lambda v, r: v >= 0, "mu1 >= 0"),
-    ("mu2", lambda v, r: 0 < v <= 1, "0 < mu2 <= 1"),
-    ("nu1", lambda v, r: v >= 0, "nu1 >= 0"),
-    ("nu2", lambda v, r: v > 0, "nu2 > 0"),
-    ("n", lambda v, r: v >= 0, "n >= 0"),
-    ("gamma1", lambda v, r: v >= 0, "gamma1 >= 0"),
-    ("gamma2", lambda v, r: v >= 0, "gamma2 >= 0"),
-    ("a1", lambda v, r: v > 0, "a1 > 0"),
-    ("a2", lambda v, r: v > 0, "a2 > 0"),
-    ("a3", lambda v, r: 0 <= v <= 1, "0 <= a3 <= 1"),
-    ("b1", lambda v, r: v >= 0, "b1 >= 0"),
-    ("b2", lambda v, r: v >= 0, "b2 >= 0"),
-    ("b3", lambda v, r: 0 <= v < 1, "0 <= b3 < 1"),
-    ("c", lambda v, r: 0 < v < 1, "0 < c < 1"),
-    ("s_pi", lambda v, r: 0 < v < 1, "0 < s_pi < 1"),
-    ("s_w", lambda v, r: 0 < v < r["s_pi"], "0 < s_w < s_pi"),
-    ("delta", lambda v, r: v > 0, "delta > 0"),
-    ("a3", lambda v, r: r["a3"] * r["b3"] < 1, "a3*b3 < 1"),
+    ("mu1", ("mu1",), lambda v, r: v >= 0, "mu1 >= 0"),
+    ("mu2", ("mu2",), lambda v, r: 0 < v <= 1, "0 < mu2 <= 1"),
+    ("nu1", ("nu1",), lambda v, r: v >= 0, "nu1 >= 0"),
+    ("nu2", ("nu2",), lambda v, r: v > 0, "nu2 > 0"),
+    ("n", ("n",), lambda v, r: v >= 0, "n >= 0"),
+    ("gamma1", ("gamma1",), lambda v, r: v >= 0, "gamma1 >= 0"),
+    ("gamma2", ("gamma2",), lambda v, r: v >= 0, "gamma2 >= 0"),
+    ("a1", ("a1",), lambda v, r: v > 0, "a1 > 0"),
+    ("a2", ("a2",), lambda v, r: v > 0, "a2 > 0"),
+    ("a3", ("a3",), lambda v, r: 0 <= v <= 1, "0 <= a3 <= 1"),
+    ("b1", ("b1",), lambda v, r: v >= 0, "b1 >= 0"),
+    ("b2", ("b2",), lambda v, r: v >= 0, "b2 >= 0"),
+    ("b3", ("b3",), lambda v, r: 0 <= v < 1, "0 <= b3 < 1"),
+    ("c", ("c",), lambda v, r: 0 < v < 1, "0 < c < 1"),
+    ("s_pi", ("s_pi",), lambda v, r: 0 < v < 1, "0 < s_pi < 1"),
+    ("s_w", ("s_w", "s_pi"), lambda v, r: 0 < v < r["s_pi"], "0 < s_w < s_pi"),
+    ("delta", ("delta",), lambda v, r: v > 0, "delta > 0"),
+    ("a3", ("a3", "b3"), lambda v, r: r["a3"] * r["b3"] < 1, "a3*b3 < 1"),
+    ("c", ("c", "s_pi", "s_w"), lambda v, r: v - (r["s_pi"] - r["s_w"]) > 0,
+     "g = c - (s_pi - s_w) > 0"),
 )
+_CONSTRAINTS_READING = {
+    field: tuple(entry for entry in _CONSTRAINTS if field in entry[1])
+    for field in PARAM_FIELDS
+}
+_DERIVATION_INPUTS = frozenset(("c", "s_pi", "s_w", "a1", "a2", "a3", "b1", "b3"))
+
+
+def _real(name: str, v) -> float:
+    """V as a finite float, or the ConstraintViolation that rejects it."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConstraintViolation(name, v, "must be a real number")
+    v = float(v)
+    if not math.isfinite(v):
+        raise ConstraintViolation(name, v, "must be finite")
+    return v
+
+
+def _check(constraints, values: dict) -> None:
+    for name, _, check, text in constraints:
+        if not check(values[name], values):
+            raise ConstraintViolation(name, values[name], text)
 
 
 def validate_parameters(raw: dict) -> ModelParameters:
@@ -139,22 +158,23 @@ def validate_parameters(raw: dict) -> ModelParameters:
     for name in raw:
         if name not in PARAM_FIELDS:
             raise UnknownField(name)
-    values = {}
-    for name in PARAM_FIELDS:
-        v = raw[name]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConstraintViolation(name, v, "must be a real number")
-        v = float(v)
-        if not math.isfinite(v):
-            raise ConstraintViolation(name, v, "must be finite")
-        values[name] = v
-    for name, check, text in _CONSTRAINTS:
-        if not check(values[name], values):
-            raise ConstraintViolation(name, values[name], text)
-    derived = derive_constants(values)
-    if not derived.g > 0:
-        raise ConstraintViolation("c", values["c"], "g = c - (s_pi - s_w) > 0")
-    return ModelParameters(derived=derived, **values)
+    values = {name: _real(name, raw[name]) for name in PARAM_FIELDS}
+    _check(_CONSTRAINTS, values)
+    return ModelParameters(derived=derive_constants(values), **values)
+
+
+def replace_field(p: ModelParameters, name: str, value) -> ModelParameters:
+    """P with field NAME set to VALUE, or the error validate_parameters would
+    raise for the whole mapping: as P has passed, only the checks that read
+    NAME run again, and the derived constants change only if NAME feeds them."""
+    constraints = _CONSTRAINTS_READING.get(name)
+    if constraints is None:
+        raise UnknownField(name)
+    values = {**vars(p), name: _real(name, value)}
+    _check(constraints, values)
+    if name in _DERIVATION_INPUTS:
+        values["derived"] = derive_constants(values)
+    return ModelParameters(**values)
 
 
 def load_config(path) -> dict:
@@ -225,16 +245,3 @@ def equilibrium(coeffs: SubsystemCoefficients, p: ModelParameters) -> Equilibriu
     return Equilibrium(beta_e=beta_e, lambda_e=lambda_e, interior=interior,
                        lambda_star=lambda_star)
 
-
-def vector_field(coeffs: SubsystemCoefficients, now: State, delayed: State) -> State:
-    """Right-hand side of the delayed subsystem, in factored form.
-
-    The bracket*state structure is kept explicit so that a zero state
-    component yields an exactly zero derivative.
-    """
-    dbeta = (coeffs.beta0 + coeffs.growth_coupling * now.beta
-             - coeffs.delta0 * now.lambda_) * now.beta
-    dlambda = (coeffs.lambda0 - coeffs.wage_damping * now.lambda_
-               + coeffs.growth_coupling * now.beta
-               + coeffs.rho1 * delayed.beta) * now.lambda_
-    return State(beta=dbeta, lambda_=dlambda)

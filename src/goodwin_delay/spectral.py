@@ -72,6 +72,7 @@ class SpectralReport:
     omegas: tuple[float, ...] = ()
     tau_ladders: tuple[tuple[float, ...], ...] = ()
     tau0: float | None = None
+    tau_next: float | None = None  # smallest ladder delay above tau0; not in to_dict
     omega0: float | None = None
     z0: float | None = None
     transversality: TransversalityReport | None = None
@@ -241,13 +242,14 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
     ladders = tuple(critical_delays(c, w, j_max) for w in omegas)
     k0 = min(range(len(omegas)), key=lambda k: ladders[k][0])
     tau0 = ladders[k0][0]
+    tau_next = min([t for ladder in ladders for t in ladder if t > tau0], default=None)
     omega0 = omegas[k0]
     z0 = h.roots[k0]
     tv = transversality(c, z0, omega0, tau0)
     return SpectralReport(
         coefficients=c, h_case=h, stable_at_zero=stable0,
         delay_independent=False, omegas=omegas, tau_ladders=ladders,
-        tau0=tau0, omega0=omega0, z0=z0, transversality=tv,
+        tau0=tau0, tau_next=tau_next, omega0=omega0, z0=z0, transversality=tv,
     )
 
 
@@ -259,14 +261,13 @@ def check_delay(tau: float) -> None:
 
 def verdict_at(report: SpectralReport, tau: float) -> Verdict:
     """Stability classification at delay tau, given the tau-independent spectrum."""
-    check_delay(tau)
+    check_delay(tau)  # the library's guard; the CLI also checks before writing
     if not report.stable_at_zero:
         return Verdict(kind="unstable_at_zero", tau=tau, interval=None, report=report)
     if report.delay_independent:
         return Verdict(kind="stable_all_delays", tau=tau, interval=None, report=report)
     tau0 = report.tau0
-    later = [t for ladder in report.tau_ladders for t in ladder if t > tau0]
-    interval = (tau0, min(later)) if later else None
+    interval = None if report.tau_next is None else (tau0, report.tau_next)
     if abs(tau - tau0) < HOPF_CRITICAL_TOL:
         kind = "hopf_critical"
     elif tau < tau0:

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from goodwin_delay.model import State, vector_field
 from goodwin_delay.normal_form import _quadratic_g, eigen_pair, hopf_analysis, solve_E1, solve_E2
 from goodwin_delay.simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
 from goodwin_delay.spectral import analyze_spectrum, char_residual, crossing_frequencies, critical_delays
@@ -22,14 +21,16 @@ def _ok(num, msg):
     print(f"PASS criterion {num}: {msg}")
 
 
-def test_criterion_1_equilibrium(case_a):
-    _, coeffs, eq = case_a
+def test_criterion_1_equilibrium(case_a, case_b):
+    _, _, eq = case_a
     assert eq.beta_e == pytest.approx(0.90, abs=5e-3)
     assert eq.lambda_e == pytest.approx(0.70, abs=5e-3)
-    s = State(beta=eq.beta_e, lambda_=eq.lambda_e)
-    d = vector_field(coeffs, s, s)
-    assert math.hypot(d.beta, d.lambda_) < 1e-12
-    _ok(1, f"beta_e={eq.beta_e:.6f} lambda_e={eq.lambda_e:.6f} residual<1e-12")
+    # the integrator's inlined field vanishes there: a run started on it stays
+    for _, c, e in (case_a, case_b):
+        traj = simulate(c, 0.03, HistorySpec(beta=e.beta_e, lambda_=e.lambda_e), 50.0)
+        assert np.max(np.abs(traj.beta - e.beta_e)) < 1e-12
+        assert np.max(np.abs(traj.lambda_ - e.lambda_e)) < 1e-12
+    _ok(1, f"beta_e={eq.beta_e:.6f} lambda_e={eq.lambda_e:.6f} drift<1e-12 (A, B)")
 
 
 def test_criterion_2_spectrum(case_a):

@@ -249,6 +249,15 @@ class TestSweep:
         tau0s = {r["tau0"] for r in rows}
         assert len(tau0s) == 1
 
+    def test_outside_rows_summarized_in_one_line(self, config_a, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", config_a, "--param", "gamma1",
+                   "--start", "0", "--stop", "0.6", "--count", "300",
+                   "--tau", "0.03", "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["242 rows have an equilibrium outside (0,1)^2"]
+
     def test_delta_sweep_consistent_with_analyze(self, config_a, tmp_path, capsys):
         out = tmp_path / "sw"
         rc = main(["sweep", "--config", config_a, "--param", "delta",
@@ -371,6 +380,12 @@ PINNED_SWEEPS = {
     "delta_A": (["--param", "delta", "--start", "3.5", "--stop", "5",
                  "--count", "101", "--tau", "0.03", "--with-hopf"],
                 "25c655a26c7f6d339c9766a4eb805b145ee43183ba53abcf84788d9c12a11abb"),
+    # both re-derive g/rho0/rho1 per row and cross constraint edges
+    "s_pi_A": (["--param", "s_pi", "--start", "0.01", "--stop", "1.2",
+                "--count", "301", "--tau", "0.03", "--with-hopf"],
+               "f31db188076b3ec819f623133f78b0467a846bbf42d9b8b7c3b2f4475e8f57fe"),
+    "a3_A": (["--param", "a3", "--start", "0.5", "--stop", "1.2", "--count", "301"],
+             "b9a806a515a9e240172dc055db208917fefd26c6867d7d69d15eb33fc62d61e1"),
 }
 
 

@@ -1,12 +1,14 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodwin_delay.errors import (
     ConstraintViolation,
+    GoodwinDelayError,
     InconsistentPsi,
     MissingField,
     NotInteriorWarning,
@@ -14,14 +16,22 @@ from goodwin_delay.errors import (
     VariantConstraint,
 )
 from goodwin_delay.model import (
-    State,
+    PARAM_FIELDS,
     equilibrium,
+    replace_field,
     subsystem_coefficients,
     validate_parameters,
-    vector_field,
 )
+from goodwin_delay.simulate import HistorySpec, simulate
 
 from helpers import CASE_A, CASE_B
+
+
+def drift(coeffs, beta, lambda_, tau, t_end=50.0):
+    """Largest departure of each component of simulate()'s trajectory, which
+    inlines the vector field, from its constant history (beta, lambda_)."""
+    traj = simulate(coeffs, tau, HistorySpec(beta=beta, lambda_=lambda_), t_end)
+    return np.max(np.abs(traj.beta - beta)), np.max(np.abs(traj.lambda_ - lambda_))
 
 
 def mp_derived(raw):
@@ -75,6 +85,48 @@ class TestValidation:
         case_a_raw["b3"] = 0.999
         p = validate_parameters(case_a_raw)  # 0.999 < 1: fine
         assert p.a3 * p.b3 < 1
+
+
+def _edges(raw):
+    """Values at which some constraint on a replaced field flips."""
+    return [0.0, 1.0, raw["s_pi"], raw["s_w"], raw["s_pi"] - raw["s_w"],
+            raw["c"] + raw["s_w"], 1.0 / raw["b3"], 1.0 / raw["a3"]]
+
+
+NEAR_EDGES = st.sampled_from(sorted(set(_edges(CASE_A) + _edges(CASE_B)))).flatmap(
+    lambda e: st.sampled_from([e, math.nextafter(e, -math.inf),
+                               math.nextafter(e, math.inf), -e]))
+FIELD_VALUES = st.one_of(
+    NEAR_EDGES,
+    st.floats(-2.0, 2.0),
+    st.integers(-3, 3),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "0.5", None]),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GoodwinDelayError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", ["A", "B"])
+@pytest.mark.parametrize("name", PARAM_FIELDS)
+@given(value=FIELD_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_replace_field_matches_full_validation(case, name, value):
+    raw = dict(CASE_A if case == "A" else CASE_B)
+    p = validate_parameters(raw)
+    assert (_outcome(replace_field, p, name, value)
+            == _outcome(validate_parameters, {**raw, name: value}))
+
+
+def test_replace_field_rejects_an_unknown_name():
+    p = validate_parameters(dict(CASE_A))
+    for name in ("sigma", "derived"):
+        with pytest.raises(UnknownField):
+            replace_field(p, name, 1.0)
 
 
 class TestDerivedConstants:
@@ -148,9 +200,8 @@ class TestEquilibrium:
 
     def test_case_a_residual(self, case_a):
         _, coeffs, eq = case_a
-        s = State(beta=eq.beta_e, lambda_=eq.lambda_e)
-        d = vector_field(coeffs, s, s)
-        assert math.hypot(d.beta, d.lambda_) < 1e-12
+        for tau in (0.0, 0.03):
+            assert max(drift(coeffs, eq.beta_e, eq.lambda_e, tau)) < 1e-12
 
     def test_case_b_matches_reference(self, case_b):
         _, _, eq = case_b
@@ -160,9 +211,8 @@ class TestEquilibrium:
 
     def test_case_b_residual(self, case_b):
         _, coeffs, eq = case_b
-        s = State(beta=eq.beta_e, lambda_=eq.lambda_e)
-        d = vector_field(coeffs, s, s)
-        assert math.hypot(d.beta, d.lambda_) < 1e-12
+        for tau in (0.0, 0.03):
+            assert max(drift(coeffs, eq.beta_e, eq.lambda_e, tau)) < 1e-12
 
     def test_case_b_inconsistent_mu1(self, case_b_raw):
         case_b_raw["mu1"] = 0.02
@@ -182,23 +232,34 @@ class TestEquilibrium:
 
 
 class TestVectorField:
+    """The field as simulate() inlines it, in bracket*state form."""
+
     def test_hand_composed_value(self, case_a):
-        _, coeffs, _ = case_a
-        s = State(beta=0.5, lambda_=0.5)
-        d = vector_field(coeffs, s, s)
-        bracket_b = coeffs.beta0 + coeffs.growth_coupling * 0.5 - coeffs.delta0 * 0.5
-        bracket_l = (coeffs.lambda0 - coeffs.wage_damping * 0.5
-                     + coeffs.growth_coupling * 0.5 + coeffs.rho1 * 0.5)
-        assert d.beta == bracket_b * 0.5
-        assert d.lambda_ == bracket_l * 0.5
+        # one RK4 step from the constant history (0.5, 0.5): every stage's
+        # delayed beta lies on the history
+        _, c, _ = case_a
+        tau = 0.05
+        h = tau / 8
+
+        def field(b, l):
+            return ((c.beta0 + c.growth_coupling * b - c.delta0 * l) * b,
+                    (c.lambda0 - c.wage_damping * l + c.growth_coupling * b
+                     + c.rho1 * 0.5) * l)
+
+        k1 = field(0.5, 0.5)
+        k2 = field(0.5 + h / 2 * k1[0], 0.5 + h / 2 * k1[1])
+        k3 = field(0.5 + h / 2 * k2[0], 0.5 + h / 2 * k2[1])
+        k4 = field(0.5 + h * k3[0], 0.5 + h * k3[1])
+        traj = simulate(c, tau, HistorySpec(beta=0.5, lambda_=0.5), t_end=h)
+        assert len(traj.times) == 2
+        for i, got in enumerate((traj.beta[1], traj.lambda_[1])):
+            want = 0.5 + h / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+            assert got == pytest.approx(want, rel=1e-14)
 
     @given(b=st.floats(-2, 2, allow_nan=False), l=st.floats(-2, 2, allow_nan=False),
-           bd=st.floats(-2, 2, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_axis_invariance(self, b, l, bd):
-        p = validate_parameters(dict(CASE_A))
-        coeffs = subsystem_coefficients(p, "A")
-        d1 = vector_field(coeffs, State(beta=0.0, lambda_=l), State(beta=bd, lambda_=l))
-        assert d1.beta == 0.0
-        d2 = vector_field(coeffs, State(beta=b, lambda_=0.0), State(beta=bd, lambda_=0.0))
-        assert d2.lambda_ == 0.0
+           tau=st.sampled_from([0.0, 0.03, 0.05]))
+    @settings(max_examples=20, deadline=None)
+    def test_axis_invariance(self, b, l, tau):
+        coeffs = subsystem_coefficients(validate_parameters(dict(CASE_A)), "A")
+        assert drift(coeffs, 0.0, l, tau)[0] == 0.0
+        assert drift(coeffs, b, 0.0, tau)[1] == 0.0

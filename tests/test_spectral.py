@@ -283,6 +283,21 @@ class TestVerdicts:
             with pytest.raises(ValueError):
                 verdict_at(rep, tau)
 
+    def test_interval_is_the_next_ladder_delay(self, case_a, case_b):
+        # the interval ends at the smallest ladder delay above tau0
+        rng = np.random.default_rng(23)
+        pairs = [case_a[1:], case_b[1:]] + [
+            sample_crossing_set(rng, "AB"[i % 2], require_stable_at_zero=True)[1:3]
+            for i in range(200)]
+        for coeffs, eq in pairs:
+            for j_max in (0, 3):
+                rep = analyze_spectrum(eq, coeffs, j_max=j_max)
+                later = [t for l in rep.tau_ladders for t in l if t > rep.tau0]
+                want = (rep.tau0, min(later)) if later else None
+                assert rep.stable_at_zero
+                assert verdict_at(rep, 0.0).interval == want
+        assert "tau_next" not in rep.to_dict()
+
     def test_report_to_dict_round_trips(self, case_a):
         _, coeffs, eq = case_a
         doc = analyze_spectrum(eq, coeffs).to_dict(verdict="unstable")
