@@ -1,7 +1,8 @@
 """Command-line front end: analyze / simulate / sweep.
 
 Exit codes: 0 success, 1 configuration error, 2 analysis-precondition
-failure, 3 simulation failure.  All emitted files use shortest
+failure, 3 simulation failure; each error class carries its own
+(errors.py).  All emitted files use shortest
 round-trip float formatting, so identical configs produce byte-identical
 outputs.
 """
@@ -16,38 +17,15 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ConstraintViolation,
-    GoodwinDelayError,
-    GridTooLarge,
-    InvalidInput,
-    MissingField,
-    NoOscillation,
-    NotInteriorWarning,
-    StepTooLarge,
-    UnknownField,
-    VariantConstraint,
-    WindowTooShort,
-)
-from .model import (
-    PARAM_FIELDS,
-    equilibrium,
-    load_config,
-    replace_field,
-    subsystem_coefficients,
-    validate_parameters,
-)
+from .errors import (ConfigError, ConstraintViolation, GoodwinDelayError, InvalidInput,
+                     NoOscillation, NotInteriorWarning)
+from .model import (PARAM_FIELDS, equilibrium, load_config, replace_field,
+                    subsystem_coefficients, validate_parameters)
 from .normal_form import hopf_analysis
 from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
 from .spectral import analyze_spectrum, check_delay, verdict_at
 
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_ANALYSIS = 2
-EXIT_SIMULATION = 3
-
-CONFIG_ERRORS = (MissingField, UnknownField, ConstraintViolation, VariantConstraint)
-SIMULATION_ERRORS = (StepTooLarge, GridTooLarge, WindowTooShort, NoOscillation)
+EXIT_OK = 0  # a failure exits with its error class's exit_code
 
 MAX_SWEEP_POINTS = 1_000_000
 SWEEP_COLUMNS = ["beta_e", "lambda_e", "p0", "r0", "q0", "h_case", "tau0", "verdict"]
@@ -297,16 +275,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, *CONFIG_ERRORS) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SIMULATION_ERRORS as exc:
-        print(f"simulation error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
     except GoodwinDelayError as exc:
-        # InconsistentPsi and the spectral/normal-form preconditions
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, ValueError) as exc:  # an unreadable config or a malformed --init
+        print(f"{ConfigError.kind} error: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

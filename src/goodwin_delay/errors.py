@@ -1,27 +1,44 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+An error's class sets the CLI's exit code and the label of its message.
+"""
 
 
 class GoodwinDelayError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 2
+    kind = "analysis"
 
 
-class InvalidInput(GoodwinDelayError, ValueError):
+class ConfigError(GoodwinDelayError):
+    """A parameter or command-line value that is out of range."""
+    exit_code = 1
+    kind = "config"
+
+
+class SimulationError(GoodwinDelayError):
+    """A time integration or trajectory diagnostic that cannot run."""
+    exit_code = 3
+    kind = "simulation"
+
+
+class InvalidInput(ConfigError, ValueError):
     """A delay, horizon, step, history or ladder depth that is out of range."""
 
 
-class MissingField(GoodwinDelayError):
+class MissingField(ConfigError):
     def __init__(self, name: str):
         super().__init__(f"missing parameter field: {name!r}")
         self.name = name
 
 
-class UnknownField(GoodwinDelayError):
+class UnknownField(ConfigError):
     def __init__(self, name: str):
         super().__init__(f"unknown parameter field: {name!r}")
         self.name = name
 
 
-class ConstraintViolation(GoodwinDelayError):
+class ConstraintViolation(ConfigError):
     def __init__(self, name: str, value, constraint: str):
         super().__init__(f"parameter {name}={value!r} violates {constraint}")
         self.name = name
@@ -29,7 +46,7 @@ class ConstraintViolation(GoodwinDelayError):
         self.constraint = constraint
 
 
-class VariantConstraint(GoodwinDelayError):
+class VariantConstraint(ConfigError):
     """Requested subsystem variant is incompatible with the parameters."""
 
 
@@ -55,6 +72,10 @@ class AcosDomain(GoodwinDelayError):
     """Arccos argument outside [-1, 1] beyond tolerance."""
 
 
+class NonFiniteCoefficient(GoodwinDelayError):
+    """A spectral or normal-form coefficient overflows or is not finite."""
+
+
 class ResidualCheckFailed(GoodwinDelayError):
     """A computed quantity failed its back-substitution residual check."""
 
@@ -75,19 +96,19 @@ class ZeroTransversality(GoodwinDelayError):
     """Re lambda'(tau_k) is zero; bifurcation direction is undefined."""
 
 
-class StepTooLarge(GoodwinDelayError):
+class StepTooLarge(SimulationError):
     """Requested step resolves the delay interval with fewer than 4 nodes."""
 
 
-class GridTooLarge(GoodwinDelayError):
+class GridTooLarge(SimulationError):
     """The delay, horizon and step need more grid slots than MAX_STEPS."""
 
 
-class WindowTooShort(GoodwinDelayError):
+class WindowTooShort(SimulationError):
     """Envelope window spans fewer than 5 grid steps."""
 
 
-class NoOscillation(GoodwinDelayError):
+class NoOscillation(SimulationError):
     """Too few zero crossings to estimate an oscillation period."""
 
 

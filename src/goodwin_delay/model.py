@@ -19,15 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    ConstraintViolation,
-    EquilibriumUndefined,
-    InconsistentPsi,
-    MissingField,
-    NotInteriorWarning,
-    UnknownField,
-    VariantConstraint,
-)
+from .errors import (ConstraintViolation, EquilibriumUndefined, InconsistentPsi,
+                     MissingField, NotInteriorWarning, UnknownField, VariantConstraint)
 
 PARAM_FIELDS = (
     "mu1", "mu2", "nu1", "nu2", "n", "gamma1", "gamma2",
@@ -231,10 +224,11 @@ def equilibrium(coeffs: SubsystemCoefficients, p: ModelParameters) -> Equilibriu
         beta_e = (coeffs.wage_damping * coeffs.beta0
                   - coeffs.lambda0 * coeffs.delta0) / (rho1 * coeffs.delta0)
         lambda_star = (p.mu1 - p.nu1 * (1.0 - p.mu2)) / (p.nu2 * (1.0 - p.mu2))
-        if abs(lambda_star - lambda_e) > PSI_CONSISTENCY_TOL:
-            raise InconsistentPsi(
-                f"lambda_e* = {lambda_star!r} differs from lambda_e = {lambda_e!r}"
-            )
+    if not (math.isfinite(beta_e) and math.isfinite(lambda_e)):
+        raise EquilibriumUndefined(f"equilibrium ({beta_e}, {lambda_e}) is not finite")
+    if lambda_star is not None and abs(lambda_star - lambda_e) > PSI_CONSISTENCY_TOL:
+        raise InconsistentPsi(
+            f"lambda_e* = {lambda_star!r} differs from lambda_e = {lambda_e!r}")
     interior = 0.0 < beta_e < 1.0 and 0.0 < lambda_e < 1.0
     if not interior:
         warnings.warn(

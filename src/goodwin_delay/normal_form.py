@@ -11,14 +11,11 @@ since the reduction has only been validated against variant-A references.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateNormalization,
-    ResidualCheckFailed,
-    SingularSystem,
-    ZeroTransversality,
-)
+from .errors import (DegenerateNormalization, NonFiniteCoefficient, ResidualCheckFailed,
+                     SingularSystem, ZeroTransversality)
 from .model import Equilibrium, SubsystemCoefficients
 from .spectral import SpectralReport
 
@@ -236,6 +233,8 @@ def lyapunov_quantities(g: GCoefficients, omega: float, tau_k: float,
                                - abs(g.g02) ** 2 / 3.0) + g.g21 / 2.0)
     mu2_bar = -c1.real / re_lambda_prime
     beta2 = 2.0 * c1.real
+    if not all(map(math.isfinite, (c1.real, c1.imag, mu2_bar, beta2))):
+        raise NonFiniteCoefficient(f"c1(0) = {c1!r}, mu2_bar = {mu2_bar!r}")
     if abs(c1) < DEGENERATE_C1_TOL:
         direction = "inconclusive"
         orbit = "inconclusive"
@@ -252,8 +251,12 @@ def hopf_analysis(eq: Equilibrium, coeffs: SubsystemCoefficients,
     """Run the full reduction at (omega0, tau0) from a spectral report."""
     if report.tau0 is None or report.transversality is None:
         raise ZeroTransversality("spectral report carries no crossing")
-    ep = eigen_pair(eq, coeffs, report.omega0, report.tau0)
-    g = g_coefficients(ep, eq, coeffs)
-    return lyapunov_quantities(g, report.omega0, report.tau0,
-                               report.transversality.re_lambda_prime,
-                               extrapolated=(coeffs.variant == "B"))
+    try:
+        ep = eigen_pair(eq, coeffs, report.omega0, report.tau0)
+        g = g_coefficients(ep, eq, coeffs)
+        return lyapunov_quantities(g, report.omega0, report.tau0,
+                                   report.transversality.re_lambda_prime,
+                                   extrapolated=(coeffs.variant == "B"))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NonFiniteCoefficient(
+            f"normal form overflows or divides by zero at tau0 = {report.tau0!r}") from exc

@@ -17,20 +17,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    AcosDomain,
-    DegenerateCrossing,
-    InvalidInput,
-    NoCrossing,
-    ResidualCheckFailed,
-)
-from .model import (
-    Equilibrium,
-    ModelParameters,
-    SubsystemCoefficients,
-    equilibrium,
-    subsystem_coefficients,
-)
+from .errors import (AcosDomain, DegenerateCrossing, InvalidInput, NoCrossing,
+                     NonFiniteCoefficient, ResidualCheckFailed)
+from .model import (Equilibrium, ModelParameters, SubsystemCoefficients, equilibrium,
+                    subsystem_coefficients)
 
 DELTA_BOUNDARY_TOL = 1e-12  # discriminant == 0 resolution
 LADDER_RESIDUAL_TOL = 1e-9
@@ -143,9 +133,15 @@ def char_residual(c: CharCoefficients, omega: float, tau: float) -> float:
 
 def classify_h(c: CharCoefficients) -> HCase:
     """Assign the exhaustive H1..H6 tag and the positive roots of h."""
-    a = c.p0 ** 2 - 2 * c.r0           # linear coefficient; h'(z) = 2z + a
-    const = c.r0 ** 2 - c.q0 ** 2
-    disc = a * a - 4 * const
+    try:
+        a = c.p0 ** 2 - 2 * c.r0           # linear coefficient; h'(z) = 2z + a
+        const = c.r0 ** 2 - c.q0 ** 2
+        disc = a * a - 4 * const
+    except OverflowError:
+        disc = math.inf
+    if not math.isfinite(disc):  # as a non-finite p0, r0, q0, a or const leaves it
+        raise NonFiniteCoefficient(
+            f"h(z) of p0={c.p0!r}, r0={c.r0!r}, q0={c.q0!r} is not finite")
     note = ""
     if const < 0:
         tag = "H4"
@@ -155,13 +151,13 @@ def classify_h(c: CharCoefficients) -> HCase:
     elif disc < -DELTA_BOUNDARY_TOL:
         tag, roots = "H1", ()
     elif disc <= DELTA_BOUNDARY_TOL:
-        if 2 * c.r0 - c.p0 ** 2 > 0:
+        if a < 0:
             tag, roots = "H3", (-a / 2.0,)
         else:
             tag, roots = "H2", ()
     else:
         # disc > 0, const >= 0
-        if 2 * c.r0 - c.p0 ** 2 > 0:
+        if a < 0:
             tag = "H6"
             z1 = (-a + math.sqrt(disc)) / 2.0
             if const == 0.0:

@@ -1,28 +1,29 @@
 import csv
 import dataclasses
 import hashlib
-import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goodwin_delay
-from goodwin_delay import errors, normal_form
+import goodwin_delay.simulate as simulate_module
+from goodwin_delay import cli, errors, normal_form
 from goodwin_delay.cli import _check_probe, main
-from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
+from goodwin_delay.model import (PARAM_FIELDS, equilibrium, subsystem_coefficients,
+                                 validate_parameters)
 from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import analyze_spectrum, check_delay, stability_verdict
 
 from helpers import CASE_A, CASE_B
-
-# the package re-exports the simulate() function under the module's name
-simulate_module = importlib.import_module("goodwin_delay.simulate")
 
 TEXT_COLUMNS = {"h_case", "verdict", "direction", "orbit_stability", "error"}
 
@@ -215,7 +216,7 @@ class TestSimulate:
 
     def test_grid_too_large_exits_3(self, config_a, tmp_path, capsys,
                                     monkeypatch):
-        monkeypatch.setattr(simulate_module, "MAX_STEPS", 1000)
+        monkeypatch.setattr("goodwin_delay.simulate.MAX_STEPS", 1000)
         out = tmp_path / "never"
         rc = main(["simulate", "--config", config_a, "--tau", "0.05",
                    "--t-end", "50", "--out", str(out)])
@@ -440,3 +441,72 @@ def test_input_errors_are_typed(site, case_a):
     }
     with pytest.raises(errors.InvalidInput):
         calls[site]()
+
+
+# the exit code each package error class gets from main; every class not
+# named here exits 2
+CONFIG_EXITS = {"ConfigError", "MissingField", "UnknownField", "ConstraintViolation",
+                "VariantConstraint", "InvalidInput"}
+SIMULATION_EXITS = {"SimulationError", "StepTooLarge", "GridTooLarge", "WindowTooShort",
+                    "NoOscillation"}
+PACKAGE_ERRORS = [cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.GoodwinDelayError)]
+
+
+@pytest.mark.parametrize("cls", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_error_class_carries_its_exit_code(cls, config_a, tmp_path, capsys, monkeypatch):
+    name = cls.__name__
+    want = 1 if name in CONFIG_EXITS else 3 if name in SIMULATION_EXITS else 2
+    assert cls.exit_code == want
+    assert cls.kind == {1: "config", 2: "analysis", 3: "simulation"}[want]
+
+    def fail(args):
+        raise cls.__new__(cls, "boom")  # skips the subclasses' own __init__
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    assert main(["analyze", "--config", config_a, "--out", str(tmp_path)]) == want
+    assert capsys.readouterr().err == f"{cls.kind} error: boom\n"
+
+
+def test_exit_code_table_names_real_classes():
+    assert CONFIG_EXITS | SIMULATION_EXITS <= {cls.__name__ for cls in PACKAGE_ERRORS}
+
+
+def _config_error(raw: dict, variant: str) -> bool:
+    """Whether the parameters, or VARIANT for them, are rejected as configuration."""
+    try:
+        subsystem_coefficients(validate_parameters(raw), variant)
+    except errors.ConfigError:
+        return True
+    return False
+
+
+@given(variant=st.sampled_from("AB"), name=st.sampled_from(PARAM_FIELDS),
+       value=st.floats(min_value=1e-300, max_value=1.7e308))
+@settings(max_examples=150, deadline=None)
+def test_extreme_inputs_exit_cleanly(variant, name, value):
+    # every field of both reference sets, at any finite magnitude: main
+    # returns a documented exit code, exits 1 only for a rejected config, and
+    # never writes a number that is not finite
+    base = CASE_A if variant == "A" else CASE_B
+    raw = {**base, name: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "config.json")
+        config.write_text(json.dumps(raw))
+        out = Path(tmp, "out")
+        rc = main(["analyze", "--config", str(config), "--variant", variant,
+                   "--out", str(out)])
+        assert rc in (0, 1, 2, 3)
+        assert (rc == 1) == _config_error(raw, variant)
+
+        config.write_text(json.dumps(base))
+        rc = main(["sweep", "--config", str(config), "--variant", variant,
+                   "--param", name, "--start", repr(base[name]), "--stop", repr(value),
+                   "--count", "3", "--tau", "0.03", "--with-hopf", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 3
+        for row in rows:
+            for column, cell in row.items():
+                if column not in TEXT_COLUMNS and cell:
+                    assert math.isfinite(float(cell)), (column, row)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from goodwin_delay.errors import (
     ConstraintViolation,
+    EquilibriumUndefined,
     GoodwinDelayError,
     InconsistentPsi,
     MissingField,
@@ -220,6 +221,14 @@ class TestEquilibrium:
         coeffs = subsystem_coefficients(p, "B")
         with pytest.raises(InconsistentPsi):
             equilibrium(coeffs, p)
+
+    @pytest.mark.parametrize("name", ["nu2", "gamma2"])
+    def test_non_finite_equilibrium_is_undefined(self, name, case_a_raw):
+        # a finite, valid parameter whose equilibrium overflows
+        case_a_raw[name] = 1.7e308
+        p = validate_parameters(case_a_raw)
+        with pytest.raises(EquilibriumUndefined, match="not finite"):
+            equilibrium(subsystem_coefficients(p, "A"), p)
 
     def test_not_interior_warns(self, case_a_raw):
         # a tiny delta drives the equilibrium employment rate negative

@@ -7,6 +7,7 @@ import pytest
 from goodwin_delay import normal_form
 from goodwin_delay.errors import (
     DegenerateNormalization,
+    NonFiniteCoefficient,
     ResidualCheckFailed,
     SingularSystem,
     ZeroTransversality,
@@ -23,9 +24,12 @@ from goodwin_delay.normal_form import (
     solve_E1,
     solve_E2,
 )
+from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.spectral import analyze_spectrum
 
 from helpers import (
+    CASE_A,
+    CASE_B,
     bilinear_inner_product,
     fd_quadratic_g,
     mp_solve,
@@ -335,6 +339,23 @@ class TestLyapunov:
         g = GCoefficients(g20=0.1, g11=0.1, g02=0.1, g21=0.1)
         with pytest.raises(ZeroTransversality):
             lyapunov_quantities(g, omega=1.0, tau_k=1.0, re_lambda_prime=0.0)
+
+    @pytest.mark.parametrize("variant, overrides, message", [
+        # alpha is near 8e307, so the E1 matrix's scale squares past the float range
+        ("B", {"a2": 8.5e307}, "overflows or divides by zero"),
+        # tau0 = 0 exactly: w20 divides by omega0 * tau0
+        ("A", {"nu1": 0.0, "n": 0.0, "gamma1": 0.0, "delta": 1e-19},
+         "overflows or divides by zero"),
+        # alpha_star is infinite: g20, g11, g02, E1, E2 and c1(0) come out NaN
+        # without raising
+        ("A", {"nu2": 1e-29, "a2": 1e288, "delta": 1e-92}, r"c1\(0\) = \(nan"),
+    ], ids=["overflow", "zero_delay", "nan"])
+    def test_non_finite_reduction_is_typed(self, variant, overrides, message):
+        p = validate_parameters({**(CASE_A if variant == "A" else CASE_B), **overrides})
+        coeffs = subsystem_coefficients(p, variant)
+        eq = equilibrium(coeffs, p)
+        with pytest.raises(NonFiniteCoefficient, match=message):
+            hopf_analysis(eq, coeffs, analyze_spectrum(eq, coeffs))
 
     def test_to_dict(self, case_a):
         _, coeffs, eq = case_a

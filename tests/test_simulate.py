@@ -1,10 +1,10 @@
 import hashlib
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import goodwin_delay.simulate as simulate_module
 from goodwin_delay.errors import GridTooLarge, NoOscillation, StepTooLarge, WindowTooShort
 from goodwin_delay.simulate import (
     HistorySpec,
@@ -17,9 +17,6 @@ from goodwin_delay.simulate import (
 from goodwin_delay.spectral import analyze_spectrum
 
 from helpers import rk4_ode_reference
-
-# the package re-exports the simulate() function under the module's name
-simulate_module = importlib.import_module("goodwin_delay.simulate")
 
 TAU0_A = 0.03484884438749684
 OMEGA0_A = 0.7080560034974415

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodwin_delay.errors import AcosDomain, DegenerateCrossing, NoCrossing
+from goodwin_delay.errors import AcosDomain, DegenerateCrossing, NoCrossing, NonFiniteCoefficient
 from goodwin_delay.model import validate_parameters
 from goodwin_delay.spectral import (
     CharCoefficients,
@@ -130,6 +130,17 @@ class TestClassifyH:
         h = classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0, variant="A"))
         assert h.tag == "H3"
         assert h.roots == (-a / 2.0,)
+
+    @pytest.mark.parametrize("p0, r0, q0", [
+        (1e200, 0.0, 0.1),        # p0 ** 2 overflows
+        (0.1, 1e200, 0.1),        # r0 ** 2 overflows
+        (1e154, 0.0, 0.1),        # a is finite, a * a is not
+        (math.inf, 0.0, 0.1),
+        (0.1, 0.1, math.nan),
+    ])
+    def test_non_finite_h_is_typed(self, p0, r0, q0):
+        with pytest.raises(NonFiniteCoefficient):
+            classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0, variant="A"))
 
     def test_h2_double_root_negative(self):
         # disc = 0 with -a/2 < 0: tangency on the negative axis
