@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (ConstraintViolation, EquilibriumUndefined, InconsistentPsi,
                      MissingField, NotInteriorWarning, UnknownField, VariantConstraint)
@@ -35,15 +35,13 @@ PARAM_FIELDS = (
 PSI_CONSISTENCY_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     g: float
     rho0: float
     rho1: float
 
 
-@dataclass(frozen=True)
-class ModelParameters:
+class ModelParameters(NamedTuple):
     mu1: float
     mu2: float
     nu1: float
@@ -64,8 +62,7 @@ class ModelParameters:
     derived: DerivedConstants
 
 
-@dataclass(frozen=True)
-class SubsystemCoefficients:
+class SubsystemCoefficients(NamedTuple):
     """Reduced ODE coefficients for one subsystem variant."""
 
     variant: str  # "A" or "B"
@@ -77,8 +74,7 @@ class SubsystemCoefficients:
     rho1: float
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     beta_e: float
     lambda_e: float
     interior: bool
@@ -163,7 +159,7 @@ def replace_field(p: ModelParameters, name: str, value) -> ModelParameters:
     constraints = _CONSTRAINTS_READING.get(name)
     if constraints is None:
         raise UnknownField(name)
-    values = {**vars(p), name: _real(name, value)}
+    values = {**p._asdict(), name: _real(name, value)}
     _check(constraints, values)
     if name in _DERIVATION_INPUTS:
         values["derived"] = derive_constants(values)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (DegenerateNormalization, NonFiniteCoefficient, ResidualCheckFailed,
                      SingularSystem, ZeroTransversality)
@@ -23,8 +23,7 @@ LINEAR_RESIDUAL_TOL = 1e-12
 DEGENERATE_C1_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     alpha: complex
     alpha_star: complex
     B: complex
@@ -40,16 +39,14 @@ class EigenPair:
         return self.B * self.alpha_star * e, self.B * e
 
 
-@dataclass(frozen=True)
-class GCoefficients:
+class GCoefficients(NamedTuple):
     g20: complex
     g11: complex
     g02: complex
     g21: complex
 
 
-@dataclass(frozen=True)
-class WFunctions:
+class WFunctions(NamedTuple):
     """Closed-form second-order center-manifold corrections, as (beta, lambda)
     pairs; q(0) = (1, alpha)."""
 
@@ -80,8 +77,7 @@ class WFunctions:
                 cq * a * up + cqb * a.conjugate() * down + self.E2[1])
 
 
-@dataclass(frozen=True)
-class HopfReport:
+class HopfReport(NamedTuple):
     c1_0: complex
     mu2_bar: float
     beta2: float
@@ -194,12 +190,20 @@ def _g21(ep: EigenPair, coeffs: SubsystemCoefficients, W: WFunctions) -> complex
     cas = ep.alpha_star.conjugate()
     Bbar = ep.B.conjugate()
     tk = ep.tau_k
-    em = cmath.exp(-1j * ep.omega * tk)
-    epl = cmath.exp(1j * ep.omega * tk)
-    W20_0 = W.w20(0.0)
-    W20_m1 = W.w20(-1.0)
-    W11_0 = W.w11(0.0)
-    W11_m1 = W.w11(-1.0)
+    wt = ep.omega * tk
+    em = cmath.exp(-1j * wt)
+    epl = cmath.exp(1j * wt)
+    # W.w20 and W.w11 at theta = 0 and -1, whose exponentials are 1, em,
+    # epl and exp(-2i*wt): the same bits as calling them
+    cq, cqb = 1j * W.g20 / wt, 1j * W.g02.conjugate() / (3.0 * wt)
+    E1, e2m = W.E1, cmath.exp(-2j * wt)
+    W20_0 = (cq + cqb + E1[0], cq * a + cqb * ca + E1[1])
+    W20_m1 = (cq * em + cqb * epl + E1[0] * e2m,
+              cq * a * em + cqb * ca * epl + E1[1] * e2m)
+    cq, cqb = -1j * W.g11 / wt, 1j * W.g11.conjugate() / wt
+    E2 = W.E2
+    W11_0 = (cq + cqb + E2[0], cq * a + cqb * ca + E2[1])
+    W11_m1 = (cq * em + cqb * epl + E2[0], cq * a * em + cqb * ca * epl + E2[1])
     return Bbar * tk * (
         2 * a * gc * W11_0[0] + 4 * cas * gc * W11_0[0]
         + ca * gc * W20_0[0] + 2 * cas * gc * W20_0[0]

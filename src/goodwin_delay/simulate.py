@@ -15,8 +15,7 @@ the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (GridTooLarge, InvalidInput, NoOscillation, StepTooLarge,
                      WindowTooShort)
@@ -32,16 +31,14 @@ OVERFLOW_LIMIT = 1e6
 MAX_STEPS = 5_000_000
 
 
-@dataclass(frozen=True)
-class HistorySpec:
+class HistorySpec(NamedTuple):
     """Constant pre-history on [-tau, 0]."""
 
     beta: float
     lambda_: float
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     times: np.ndarray
     beta: np.ndarray
     lambda_: np.ndarray
@@ -68,7 +65,8 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     """Integrate the delayed subsystem from a constant history.
 
     Returns a uniform-grid trajectory starting at t = 0.  If the state
-    magnitude exceeds 1e6 the run is truncated and flagged.
+    magnitude exceeds 1e6 or turns non-finite, the run is truncated and
+    flagged, and it ends at its last finite row.
     """
     # numpy loads with the first run, so an analysis never imports it; the
     # import comes before the grid lists are allocated, where it measured faster
@@ -125,9 +123,10 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
         M[m + i] = 0.5 * (b + b_new) + h8 * (db - db_new)
         b, db = b_new, db_new
         X[m + i + 1], L[i + 1] = b, lam
-        if abs(b) > limit or abs(lam) > limit:
+        # written so that a NaN state fails it too
+        if not (abs(b) <= limit and abs(lam) <= limit):
             overflow = True
-            last = i + 1
+            last = i + 1 if math.isfinite(b) and math.isfinite(lam) else i
             break
 
     return Trajectory(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AcosDomain, DegenerateCrossing, InvalidInput, NoCrossing,
                      NonFiniteCoefficient, ResidualCheckFailed)
@@ -27,16 +27,14 @@ LADDER_RESIDUAL_TOL = 1e-9
 HOPF_CRITICAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CharCoefficients:
+class CharCoefficients(NamedTuple):
     p0: float
     r0: float
     q0: float
     variant: str
 
 
-@dataclass(frozen=True)
-class HCase:
+class HCase(NamedTuple):
     """Positive-root classification of the auxiliary quadratic."""
 
     tag: str  # H1..H6
@@ -45,16 +43,14 @@ class HCase:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     h_prime_z0: float
     D: float
     re_lambda_prime: float
     sign: int
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     coefficients: CharCoefficients
     h_case: HCase
     stable_at_zero: bool
@@ -92,8 +88,7 @@ class SpectralReport:
         return doc
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # stable_all_delays | stable | hopf_critical | unstable | unstable_at_zero
     tau: float
     interval: tuple[float, float] | None

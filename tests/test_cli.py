@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -132,8 +131,7 @@ class TestAnalyze:
         real_solve = normal_form.solve_E2
 
         def singular_solve(ep, eq, coeffs):
-            return real_solve(ep, eq, dataclasses.replace(
-                coeffs, growth_coupling=0.0, rho1=0.0))
+            return real_solve(ep, eq, coeffs._replace(growth_coupling=0.0, rho1=0.0))
 
         monkeypatch.setattr(normal_form, "solve_E2", singular_solve)
         rc = main(["analyze", "--config", config_a, "--out", str(tmp_path / "o")])
@@ -187,6 +185,21 @@ class TestSimulate:
                    "--t-end", "10", "--step", "0.05", "--out", str(tmp_path)])
         assert rc == 3
         assert "simulation error" in capsys.readouterr().err
+
+    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+        # case B with nu2 = 1e100 turns NaN in one step: the run ends as an
+        # overflow at its first row, too short to classify
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps({**CASE_B, "nu2": 1e100}))
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--config", str(config), "--variant", "B",
+                   "--tau", "0.03", "--t-end", "5", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("simulation error: ")
+        assert json.loads((out / "run.json").read_text())["overflow"] is True
+        rows = read_csv(out / "trajectory.csv")
+        assert rows and all(math.isfinite(float(cell))
+                            for row in rows for cell in row.values())
 
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--tau", "inf"), ("--init", "nan,nan"),

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
@@ -247,7 +246,7 @@ class TestSolveGuards:
     def test_singular_e2_raises(self, case_a_pair):
         # gc = rho1 = 0 zeroes the first column of E2's matrix: det is exactly 0
         coeffs, eq, rep, ep = case_a_pair
-        singular = dataclasses.replace(coeffs, growth_coupling=0.0, rho1=0.0)
+        singular = coeffs._replace(growth_coupling=0.0, rho1=0.0)
         with pytest.raises(SingularSystem, match=r"^E2: determinant "):
             solve_E2(ep, eq, singular)
 

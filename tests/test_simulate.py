@@ -6,6 +6,7 @@ import pytest
 
 import goodwin_delay.simulate as simulate_module
 from goodwin_delay.errors import GridTooLarge, NoOscillation, StepTooLarge, WindowTooShort
+from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.simulate import (
     HistorySpec,
     Trajectory,
@@ -106,6 +107,18 @@ class TestIntegrator:
                         t_end=200.0)
         assert traj.overflow
         assert traj.times[-1] < 200.0
+
+    def test_non_finite_state_is_an_overflow(self, case_b_raw):
+        # nu2 = 1e100 turns the first step's state into NaN (inf - inf)
+        p = validate_parameters({**case_b_raw, "nu2": 1e100})
+        coeffs = subsystem_coefficients(p, "B")
+        eq = equilibrium(coeffs, p)
+        traj = simulate(coeffs, 0.03, HistorySpec(beta=eq.beta_e - 0.05,
+                                                  lambda_=eq.lambda_e - 0.05),
+                        t_end=5.0)
+        assert traj.overflow
+        assert len(traj.times) == len(traj.beta) == len(traj.lambda_) == 1
+        assert np.isfinite(traj.beta).all() and np.isfinite(traj.lambda_).all()
 
     def test_invalid_arguments(self, case_a):
         _, coeffs, eq = case_a
