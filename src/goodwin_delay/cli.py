@@ -17,13 +17,13 @@ import warnings
 from pathlib import Path
 
 from . import __version__
-from .errors import (ConfigError, ConstraintViolation, GoodwinDelayError, InvalidInput,
-                     NoOscillation, NotInteriorWarning)
-from .model import (PARAM_FIELDS, equilibrium, load_config, replace_field,
-                    subsystem_coefficients, validate_parameters)
+from .errors import (ConfigError, ConstraintViolation, GoodwinDelayError, NoOscillation,
+                     NotInteriorWarning, WindowTooShort)
+from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coefficients,
+                    validate_parameters)
 from .normal_form import hopf_analysis
 from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
-from .spectral import analyze_spectrum, check_delay, verdict_at
+from .spectral import analyze_spectrum, check_delay, check_depth, verdict_at
 
 EXIT_OK = 0  # a failure exits with its error class's exit_code
 
@@ -49,7 +49,8 @@ def _write_csv(path: Path, header: list[str], lines) -> None:
 
 
 def _load_params(args):
-    return validate_parameters(load_config(args.config))
+    with open(args.config, "r", encoding="utf-8") as fh:
+        return validate_parameters(json.load(fh))
 
 
 def _outdir(args) -> Path:
@@ -59,9 +60,8 @@ def _outdir(args) -> Path:
 
 
 def _check_probe(jmax: int, taus) -> None:
-    """Reject a negative ladder depth or a bad delay before any analysis."""
-    if jmax < 0:
-        raise InvalidInput(f"jmax must be nonnegative, got {jmax}")
+    """Reject a bad ladder depth or delay before any analysis."""
+    check_depth(jmax)
     for tau in taus:
         check_delay(tau)
 
@@ -140,7 +140,13 @@ def cmd_simulate(args) -> int:
         "parameters": {k: getattr(p, k) for k in PARAM_FIELDS},
     }
     _write_json(out / "run.json", sidecar)
-    label = classify_dynamics(traj)
+    try:
+        label = classify_dynamics(traj)
+    except WindowTooShort:
+        if not traj.overflow:
+            raise
+        raise WindowTooShort("the state overflowed or turned non-finite: the run ends at t="
+                             f"{float(traj.times[-1])!r}, too early to classify") from None
     extra = " (overflow: run truncated)" if traj.overflow else ""
     print(f"classification: {label}{extra}")
     try:
@@ -150,39 +156,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _captured(analysis, *args):
-    """The analysis result, or the GoodwinDelayError it raised."""
-    try:
-        return analysis(*args)
-    except GoodwinDelayError as exc:
-        return exc
-
-
-def _sweep_cells(analysis, with_hopf: bool) -> tuple[str, str]:
-    """The cells of a row that do not depend on its delay, formatted once:
-    those between the value and the verdict, and those after the verdict.
-    An analysis error blanks them all and names its class in the error cell."""
-    hopf_blank = "," * len(HOPF_COLUMNS) if with_hopf else ""
+def _sweep_row(analysis, with_hopf: bool):
+    """The (value, tau) -> line formatter of the sweep rows that share ANALYSIS,
+    the (eq, report, hopf) triple or the GoodwinDelayError that stopped it. The
+    cells that do not depend on tau are formatted once; an error blanks them."""
+    hopf_cells = "," * len(HOPF_COLUMNS) if with_hopf else ""
     if isinstance(analysis, GoodwinDelayError):
-        return "," * (len(SWEEP_COLUMNS) - 1), f"{hopf_blank},{type(analysis).__name__}"
+        tail = f"{',' * len(SWEEP_COLUMNS)}{hopf_cells},{type(analysis).__name__}\n"
+        return lambda value, tau: f"{value!r}{tail}"
     eq, report, hopf = analysis
     c = report.coefficients
     # floats as !r, which is str(float); tau0 may be None
     head = (f",{eq.beta_e!r},{eq.lambda_e!r},{c.p0!r},{c.r0!r},{c.q0!r}"
-            f",{report.h_case.tag},{_fmt(report.tau0)}")
-    if with_hopf and hopf:
+            f",{report.h_case.tag},{_fmt(report.tau0)},")
+    if hopf is not None:
         c1 = hopf.c1_0
-        hopf_blank = (f",{c1.real!r},{c1.imag!r},{hopf.mu2_bar!r},{hopf.beta2!r}"
+        hopf_cells = (f",{c1.real!r},{c1.imag!r},{hopf.mu2_bar!r},{hopf.beta2!r}"
                       f",{hopf.direction},{hopf.orbit_stability}")
-    return head, hopf_blank + ","
-
-
-def _sweep_line(value, tau, analysis, cells: tuple[str, str]) -> str:
-    """One sweep row: its value and its verdict at TAU around the cells."""
-    head, tail = cells
-    verdict = ("" if isinstance(analysis, GoodwinDelayError)
-               else verdict_at(analysis[1], tau).kind)
-    return f"{value!r}{head},{verdict}{tail}\n"
+    tail = hopf_cells + ",\n"
+    return lambda value, tau: f"{value!r}{head}{verdict_at(report, tau).kind}{tail}"
 
 
 def cmd_sweep(args) -> int:
@@ -199,29 +191,29 @@ def cmd_sweep(args) -> int:
     else:
         step = (args.stop - args.start) / (args.count - 1)
         values = [args.start + i * step for i in range(args.count)]
-    _check_probe(args.jmax, values if args.param == "tau" else [args.tau])
+    tau_axis = args.param == "tau"
+    _check_probe(args.jmax, values if tau_axis else [args.tau])
     out = _outdir(args)
+
+    def analysis_at(value):
+        """The row's (eq, report, hopf), or its error; a tau axis analyzes P as is."""
+        try:
+            row_p = p if tau_axis else replace_field(p, args.param, value)
+            return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
+        except GoodwinDelayError as exc:
+            return exc
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NotInteriorWarning)
-        if args.param == "tau":
-            # only the verdict depends on tau: analyze and format once, classify per row
-            analysis = _captured(_analysis, p, args.variant, args.jmax, args.with_hopf)
-            cells = _sweep_cells(analysis, args.with_hopf)
-            lines = [_sweep_line(tau, tau, analysis, cells) for tau in values]
+        if tau_axis:  # only the verdict depends on tau: analyze and format once
+            row = _sweep_row(analysis_at(None), args.with_hopf)
+            lines = [row(tau, tau) for tau in values]
         else:
-            def analysis_at(value):
-                row_p = replace_field(p, args.param, value)
-                return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
-            lines = []
-            for v in values:
-                analysis = _captured(analysis_at, v)
-                cells = _sweep_cells(analysis, args.with_hopf)
-                lines.append(_sweep_line(v, args.tau, analysis, cells))
+            lines = [_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau) for v in values]
     # one stderr line instead of a warning per row (the analysis raises no
     # other warning); a tau sweep's rows share one equilibrium
-    outside = len(caught) * (len(values) if args.param == "tau" else 1)
-    hopf_columns = HOPF_COLUMNS if args.with_hopf else []
-    header = [args.param, *SWEEP_COLUMNS, *hopf_columns, "error"]
+    outside = len(caught) * (len(values) if tau_axis else 1)
+    header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
     _write_csv(out / "sweep.csv", header, lines)
     print(f"wrote {len(lines)} rows to {out / 'sweep.csv'}")
     if outside:
@@ -229,19 +221,25 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 like other bad input, not 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="goodwin-delay",
         description="Delay-induced Hopf bifurcation analysis of the "
                     "employment/wage-share growth-cycle subsystems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, ladder: bool = True):
         sp.add_argument("--config", required=True, help="JSON parameter file")
         sp.add_argument("--variant", choices=("A", "B"), default="A")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--jmax", type=int, default=3,
-                        help="delay-ladder depth per crossing frequency")
+        if ladder:  # simulate reads no delay ladder
+            sp.add_argument("--jmax", type=int, default=3,
+                            help="delay-ladder depth per crossing frequency")
 
     sp = sub.add_parser("analyze", help="spectral + normal-form report")
     common(sp)
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("simulate", help="integrate a trajectory")
-    common(sp)
+    common(sp, ladder=False)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--t-end", dest="t_end", type=float, required=True)
     sp.add_argument("--step", type=float, default=None, help="step hint")
@@ -272,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GoodwinDelayError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)

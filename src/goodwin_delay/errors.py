@@ -63,11 +63,6 @@ class InconsistentPsi(GoodwinDelayError):
     """
 
 
-class NoCrossing(GoodwinDelayError):
-    """No positive root of the auxiliary quadratic: no imaginary-axis
-    crossing exists for any delay (delay-independent stability)."""
-
-
 class AcosDomain(GoodwinDelayError):
     """Arccos argument outside [-1, 1] beyond tolerance."""
 

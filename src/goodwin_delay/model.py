@@ -14,7 +14,6 @@ constants validated here.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from typing import NamedTuple
@@ -164,12 +163,6 @@ def replace_field(p: ModelParameters, name: str, value) -> ModelParameters:
     if name in _DERIVATION_INPUTS:
         values["derived"] = derive_constants(values)
     return ModelParameters(**values)
-
-
-def load_config(path) -> dict:
-    """Read a JSON parameter file (exactly the seventeen snake_case keys)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def subsystem_coefficients(p: ModelParameters, variant: str) -> SubsystemCoefficients:

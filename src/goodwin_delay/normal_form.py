@@ -172,11 +172,6 @@ def solve_E2(ep: EigenPair, eq: Equilibrium,
     a = ep.alpha
     epl = cmath.exp(1j * ep.omega * ep.tau_k)
     rhs0 = 2 * gc - a * d0 - a.conjugate() * d0
-    # unreachable in practice: the imaginary parts of a*d0 and conj(a)*d0
-    # cancel exactly, so no input has been found that trips this guard
-    if abs(rhs0.imag) > 1e-12:
-        raise ResidualCheckFailed(
-            f"E2: right-hand side not real: imag {rhs0.imag!r}")
     rhs1 = 2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real
     return _check_solve(gc * be, -d0 * le, (gc + r1) * le, -wd * le,
                         -rhs0.real, -rhs1, "E2")

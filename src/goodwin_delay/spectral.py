@@ -17,14 +17,15 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import (AcosDomain, DegenerateCrossing, InvalidInput, NoCrossing,
-                     NonFiniteCoefficient, ResidualCheckFailed)
+from .errors import (AcosDomain, DegenerateCrossing, InvalidInput, NonFiniteCoefficient,
+                     ResidualCheckFailed)
 from .model import (Equilibrium, ModelParameters, SubsystemCoefficients, equilibrium,
                     subsystem_coefficients)
 
 DELTA_BOUNDARY_TOL = 1e-12  # discriminant == 0 resolution
 LADDER_RESIDUAL_TOL = 1e-9
 HOPF_CRITICAL_TOL = 1e-9
+MAX_LADDER_DEPTH = 1000  # rungs per crossing frequency; the CLI's --jmax cap
 
 
 class CharCoefficients(NamedTuple):
@@ -167,13 +168,6 @@ def classify_h(c: CharCoefficients) -> HCase:
     return HCase(tag=tag, discriminant=disc, roots=roots, note=note)
 
 
-def crossing_frequencies(h: HCase) -> tuple[float, ...]:
-    """omega_k = sqrt(z_k), ordered by descending z."""
-    if not h.roots:
-        raise NoCrossing(f"case {h.tag}: no positive root of h")
-    return tuple(math.sqrt(z) for z in h.roots)
-
-
 def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[float, ...]:
     """Delay ladder tau^j, j = 0..j_max, at one crossing frequency.
 
@@ -220,16 +214,14 @@ def transversality(c: CharCoefficients, z0: float, omega0: float,
 def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
                      j_max: int = 3) -> SpectralReport:
     """Full spectral report: coefficients, H-case, ladders, tau0, slope."""
-    if j_max < 0:
-        raise InvalidInput(f"j_max must be nonnegative, got {j_max!r}")
+    check_depth(j_max)
     c = char_coefficients(eq, coeffs)
     h = classify_h(c)
     stable0 = stable_at_zero_delay(c)
-    try:
-        omegas = crossing_frequencies(h)
-    except NoCrossing:
+    if not h.roots:  # no crossing at any delay
         return SpectralReport(coefficients=c, h_case=h, stable_at_zero=stable0,
                               delay_independent=True)
+    omegas = tuple(math.sqrt(z) for z in h.roots)  # descending, like the roots
     ladders = tuple(critical_delays(c, w, j_max) for w in omegas)
     k0 = min(range(len(omegas)), key=lambda k: ladders[k][0])
     tau0 = ladders[k0][0]
@@ -248,6 +240,12 @@ def check_delay(tau: float) -> None:
     """Raise InvalidInput unless tau is a finite, nonnegative delay."""
     if not (math.isfinite(tau) and tau >= 0):
         raise InvalidInput(f"tau must be finite and nonnegative, got {tau!r}")
+
+
+def check_depth(j_max: int) -> None:
+    """Raise InvalidInput unless 0 <= j_max <= MAX_LADDER_DEPTH."""
+    if not 0 <= j_max <= MAX_LADDER_DEPTH:
+        raise InvalidInput(f"jmax must be in 0..{MAX_LADDER_DEPTH}, got {j_max!r}")
 
 
 def verdict_at(report: SpectralReport, tau: float) -> Verdict:

@@ -125,6 +125,15 @@ class TestAnalyze:
         assert err.startswith("config error: jmax") and err.count("\n") == 1
         assert not (out / "analysis.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["sweep", "--start", "0", "--stop", "0.1", "--count", "3"]])
+    def test_jmax_above_the_cap_exits_1(self, command, config_a, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main([*command, "--config", config_a, "--jmax", "1001", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "config error: jmax must be in 0..1000, got 1001\n"
+        assert not out.exists()
+
     def test_singular_system_exits_2(self, config_a, tmp_path, capsys, monkeypatch):
         # no valid configuration makes E2 singular (gc = rho1 = 0 leaves the
         # equilibrium undefined), so feed the real solver singular coefficients
@@ -195,7 +204,9 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(config), "--variant", "B",
                    "--tau", "0.03", "--t-end", "5", "--out", str(out)])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("simulation error: ")
+        assert capsys.readouterr().err.endswith(
+            "simulation error: the state overflowed or turned non-finite: the run ends"
+            " at t=0.0, too early to classify\n")
         assert json.loads((out / "run.json").read_text())["overflow"] is True
         rows = read_csv(out / "trajectory.csv")
         assert rows and all(math.isfinite(float(cell))
@@ -454,6 +465,27 @@ def test_input_errors_are_typed(site, case_a):
     }
     with pytest.raises(errors.InvalidInput):
         calls[site]()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["analyze"], ["sweep", "--start", "0", "--stop", "1", "--count", "abc"],
+    ["simulate", "--tau", "0", "--t-end", "1", "--jmax", "3"],
+    ["analyze", "--no-such-option"]])
+def test_usage_error_exits_1(argv, config_a, tmp_path, capsys):
+    if argv and argv != ["analyze"]:
+        argv = [*argv, "--config", config_a, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_0_and_lists_jmax_where_read(capsys):
+    for command, reads_jmax in (("analyze", True), ("sweep", True), ("simulate", False)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--jmax" in capsys.readouterr().out) == reads_jmax
 
 
 # the exit code each package error class gets from main; every class not

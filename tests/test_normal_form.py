@@ -239,10 +239,6 @@ class TestCorrectionSolves:
 
 
 class TestSolveGuards:
-    # The E2 guard "right-hand side not real" has no test: the imaginary
-    # parts of a*d0 and conj(a)*d0 cancel exactly in floating point, so no
-    # input reaches it.
-
     def test_singular_e2_raises(self, case_a_pair):
         # gc = rho1 = 0 zeroes the first column of E2's matrix: det is exactly 0
         coeffs, eq, rep, ep = case_a_pair

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodwin_delay.errors import AcosDomain, DegenerateCrossing, NoCrossing, NonFiniteCoefficient
-from goodwin_delay.model import validate_parameters
+from goodwin_delay.errors import AcosDomain, DegenerateCrossing, NonFiniteCoefficient
+from goodwin_delay.model import Equilibrium, SubsystemCoefficients, validate_parameters
 from goodwin_delay.spectral import (
     CharCoefficients,
     analyze_spectrum,
@@ -15,7 +15,6 @@ from goodwin_delay.spectral import (
     char_residual,
     classify_h,
     critical_delays,
-    crossing_frequencies,
     h_prime,
     h_value,
     stability_verdict,
@@ -90,8 +89,6 @@ class TestClassifyH:
         h = classify_h(c)
         assert h.tag == "H1"
         assert h.roots == ()
-        with pytest.raises(NoCrossing):
-            crossing_frequencies(h)
 
     def test_h5_negative_real_roots(self):
         # a > 0 and const > 0: both roots negative
@@ -169,7 +166,7 @@ class TestCriticalDelays:
         _, coeffs, eq = case_a
         c = char_coefficients(eq, coeffs)
         h = classify_h(c)
-        omega = crossing_frequencies(h)[0]
+        omega = math.sqrt(h.roots[0])
         assert omega == pytest.approx(0.708056, abs=1e-5)
         ladder = critical_delays(c, omega, j_max=3)
         assert ladder[0] == pytest.approx(0.0348488, abs=1e-6)
@@ -181,7 +178,7 @@ class TestCriticalDelays:
     def test_case_b_ladder(self, case_b):
         _, coeffs, eq = case_b
         c = char_coefficients(eq, coeffs)
-        omega = crossing_frequencies(classify_h(c))[0]
+        omega = math.sqrt(classify_h(c).roots[0])
         assert omega == pytest.approx(0.752276, abs=1e-5)
         ladder = critical_delays(c, omega, j_max=1)
         assert ladder[0] == pytest.approx(0.0196383, abs=1e-6)
@@ -190,7 +187,7 @@ class TestCriticalDelays:
         rng = np.random.default_rng(7)
         for _ in range(25):
             _, coeffs, eq, c, h = sample_crossing_set(rng, "A")
-            for omega in crossing_frequencies(h):
+            for omega in [math.sqrt(z) for z in h.roots]:
                 for tau in critical_delays(c, omega, j_max=2):
                     assert char_residual(c, omega, tau) < 1e-9
 
@@ -198,7 +195,7 @@ class TestCriticalDelays:
         # p0 < 0 forces sin(omega*tau) < 0, i.e. the 2*pi - arccos branch
         c = CharCoefficients(p0=-0.05, r0=0.0, q0=0.5, variant="A")
         h = classify_h(c)
-        omega = crossing_frequencies(h)[0]
+        omega = math.sqrt(h.roots[0])
         ladder = critical_delays(c, omega)
         assert char_residual(c, omega, ladder[0]) < 1e-9
         assert math.sin(omega * ladder[0]) < 0
@@ -274,6 +271,24 @@ class TestVerdicts:
         assert lo == pytest.approx(0.0348488, abs=1e-6)
         assert hi == pytest.approx(8.9085, abs=1e-3)
 
+    @pytest.mark.parametrize("p0, r0, q0, tag, kind", [
+        (0.7, 0.2, 0.1937, "H1", "stable_all_delays"),
+        (1.0, 0.25, 0.0, "H2", "stable_all_delays"),
+        (1.0, 0.1, 0.05, "H5", "stable_all_delays"),
+        (-1.0, 0.1, 0.05, "H5", "unstable_at_zero"),
+    ])
+    def test_no_positive_root_is_delay_independent(self, p0, r0, q0, tag, kind):
+        # at beta_e = lambda_e = 1: p0 = wd - gc, r0 = (delta0 - wd) gc, q0 = delta0 rho1
+        gc, wd = 1.0, p0 + 1.0
+        coeffs = SubsystemCoefficients(variant="A", beta0=0.0, lambda0=0.0, delta0=r0 + wd,
+                                       growth_coupling=gc, wage_damping=wd,
+                                       rho1=q0 / (r0 + wd))
+        rep = analyze_spectrum(Equilibrium(beta_e=1.0, lambda_e=1.0, interior=False), coeffs)
+        assert rep.h_case.tag == tag
+        assert rep.delay_independent and rep.omegas == () and rep.tau_ladders == ()
+        assert rep.tau0 is None and rep.transversality is None
+        assert {verdict_at(rep, tau).kind for tau in (0.0, 0.5, 50.0)} == {kind}
+
     def test_case_b_stable_at_zero(self, case_b_raw):
         p = validate_parameters(case_b_raw)
         v = stability_verdict(p, "B", 0.0)
@@ -287,8 +302,10 @@ class TestVerdicts:
 
     def test_non_finite_tau_and_negative_depth_rejected(self, case_a):
         _, coeffs, eq = case_a
-        with pytest.raises(ValueError):
-            analyze_spectrum(eq, coeffs, j_max=-1)
+        for j_max in (-1, 1001):  # the depth must lie in 0..MAX_LADDER_DEPTH
+            with pytest.raises(ValueError):
+                analyze_spectrum(eq, coeffs, j_max=j_max)
+        assert len(analyze_spectrum(eq, coeffs, j_max=1000).tau_ladders[0]) == 1001
         rep = analyze_spectrum(eq, coeffs)
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError):
