@@ -50,7 +50,10 @@ def _write_csv(path: Path, header: list[str], lines) -> None:
 
 def _load_params(args):
     with open(args.config, "r", encoding="utf-8") as fh:
-        return validate_parameters(json.load(fh))
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the config must be a JSON object, got {type(raw).__name__}")
+    return validate_parameters(raw)
 
 
 def _outdir(args) -> Path:
@@ -64,6 +67,19 @@ def _check_probe(jmax: int, taus) -> None:
     check_depth(jmax)
     for tau in taus:
         check_delay(tau)
+
+
+def _warn_plainly(fn, *args):
+    """FN(*ARGS), with each warning it raises (the analysis raises only
+    NotInteriorWarning) printed as one 'warning: ...' line on stderr, without
+    the source path and line that the warnings module would add."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NotInteriorWarning)
+        try:
+            return fn(*args)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _analysis(p, variant: str, j_max: int, with_hopf: bool):
@@ -80,7 +96,7 @@ def cmd_analyze(args) -> int:
     p = _load_params(args)
     _check_probe(args.jmax, [args.tau])
     out = _outdir(args)
-    eq, report, hopf = _analysis(p, args.variant, args.jmax, with_hopf=True)
+    eq, report, hopf = _warn_plainly(_analysis, p, args.variant, args.jmax, True)
     verdict = verdict_at(report, args.tau)
     doc = {
         "engine_version": __version__,
@@ -116,7 +132,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     p = _load_params(args)
     coeffs = subsystem_coefficients(p, args.variant)
-    eq = equilibrium(coeffs, p)
+    eq = _warn_plainly(equilibrium, coeffs, p)
     if args.init is not None:
         b0, l0 = (float(x) for x in args.init.split(","))
     else:
@@ -126,9 +142,8 @@ def cmd_simulate(args) -> int:
     traj = simulate(coeffs, args.tau, HistorySpec(beta=b0, lambda_=l0),
                     args.t_end, step_hint=args.step)
     out = _outdir(args)
-    rows = zip(traj.times.tolist(), traj.beta.tolist(), traj.lambda_.tolist())
     _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"],
-               ("%r,%r,%r\n" % row for row in rows))
+               ("%r,%r,%r\n" % row for row in zip(traj.times, traj.beta, traj.lambda_)))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -146,7 +161,7 @@ def cmd_simulate(args) -> int:
         if not traj.overflow:
             raise
         raise WindowTooShort("the state overflowed or turned non-finite: the run ends at t="
-                             f"{float(traj.times[-1])!r}, too early to classify") from None
+                             f"{traj.times[-1]!r}, too early to classify") from None
     extra = " (overflow: run truncated)" if traj.overflow else ""
     print(f"classification: {label}{extra}")
     try:

@@ -123,7 +123,10 @@ def _real(name: str, v) -> float:
     """V as a finite float, or the ConstraintViolation that rejects it."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConstraintViolation(name, v, "must be a real number")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an int too large for a float, rejected as 1e400 is
+        v = math.inf if v > 0 else -math.inf
     if not math.isfinite(v):
         raise ConstraintViolation(name, v, "must be finite")
     return v

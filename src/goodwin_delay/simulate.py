@@ -10,24 +10,30 @@ At tau = 0, m = 0 and rho1 joins the instantaneous coupling.
 X holds beta at t = (k - m) h for k = 0..m+n, the first m+1 entries being
 the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
 [X[k], X[k+1]], stored with X[k+1].  Step i reads X[i], M[i], X[i+1].
+
+The module needs only the standard library: a trajectory's columns are
+``array('d')``, and the envelope, classification and period diagnostics
+work on them in plain floats, with every mean summed in numpy's pairwise
+order so that the figures keep the bits they had when numpy computed them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from array import array
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 from .errors import (GridTooLarge, InvalidInput, NoOscillation, StepTooLarge,
                      WindowTooShort)
 from .model import SubsystemCoefficients
 from .spectral import check_delay
 
-if TYPE_CHECKING:
-    import numpy as np
-
 OVERFLOW_LIMIT = 1e6
-# Cap on the grid slots m + n of one run: at about 128 bytes per slot at
-# the peak (three lists of floats, then the arrays), near 640 MB.
+# Cap on the grid slots m + n of one run: at about 120 bytes per slot at
+# the peak (three lists of 32-byte floats, then three 8-byte array('d')
+# columns), near 600 MB.
 MAX_STEPS = 5_000_000
 
 
@@ -39,9 +45,11 @@ class HistorySpec(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    times: np.ndarray
-    beta: np.ndarray
-    lambda_: np.ndarray
+    """Uniform-grid run from t = 0; the three columns are array('d')."""
+
+    times: array
+    beta: array
+    lambda_: array
     tau: float
     step: float
     overflow: bool = False
@@ -68,10 +76,6 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     magnitude exceeds 1e6 or turns non-finite, the run is truncated and
     flagged, and it ends at its last finite row.
     """
-    # numpy loads with the first run, so an analysis never imports it; the
-    # import comes before the grid lists are allocated, where it measured faster
-    import numpy as np
-
     check_delay(tau)
     if not (math.isfinite(t_end) and t_end > 0):
         raise InvalidInput(f"t_end must be finite and positive, got {t_end!r}")
@@ -129,31 +133,63 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
             last = i + 1 if math.isfinite(b) and math.isfinite(lam) else i
             break
 
-    return Trajectory(
-        times=np.arange(last + 1) * h,
-        beta=np.array(X[m:m + last + 1]),
-        lambda_=np.array(L[:last + 1]),
-        tau=tau, step=h, overflow=overflow,
-    )
+    beta, lambda_ = array("d", X[m:m + last + 1]), array("d", L[:last + 1])
+    del X, M, L  # the times reuse the lists' memory
+    # k * h has the bits of numpy's arange(n) * h
+    times = array("d", [k * h for k in range(last + 1)])
+    return Trajectory(times=times, beta=beta, lambda_=lambda_,
+                      tau=tau, step=h, overflow=overflow)
 
 
-def amplitude_envelope(traj: Trajectory, window: float):
-    """Per-window peak-to-peak amplitude of both components.
+def _sum(x) -> float:
+    """Sum of the floats X in numpy's pairwise order, so that a mean has the
+    bits of np.mean: blocks of at most 128 items are summed in 8 strided
+    partial sums, longer runs split near the middle on a multiple of 8.
+    The builtin sum() rounds differently (it compensates from Python 3.12)."""
+    n = len(x)
+    if n < 8:
+        return reduce(add, x, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        # numpy adds the total to its identity 0.0, which turns -0.0 into 0.0
+        return 0.0 + (_sum(x[:half]) + _sum(x[half:]))
+    cut = n - n % 8
+    r = [reduce(add, x[j:cut:8]) for j in range(8)]
+    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + reduce(add, x[cut:], head)
 
-    Returns (window_centers, beta_amplitude, lambda_amplitude).
-    """
-    import numpy as np
+
+def _windows(traj: Trajectory, window: float) -> tuple[int, int]:
+    """(grid steps per window, whole windows in TRAJ) for WINDOW."""
     steps = int(round(window / traj.step))
     if steps < 5:
         raise WindowTooShort(f"window {window} spans {steps} < 5 steps")
     nwin = len(traj.times) // steps
     if nwin == 0:
         raise WindowTooShort("trajectory shorter than one window")
-    cut = nwin * steps
-    centers = traj.times[:cut].reshape(nwin, steps).mean(axis=1)
-    bw = traj.beta[:cut].reshape(nwin, steps)
-    lw = traj.lambda_[:cut].reshape(nwin, steps)
-    return centers, np.ptp(bw, axis=1), np.ptp(lw, axis=1)
+    return steps, nwin
+
+
+def _peak_to_peak(x, steps: int, first: int, stop: int) -> list[float]:
+    """max - min of X over windows FIRST..STOP-1 of STEPS items each."""
+    out = []
+    for k in range(first * steps, stop * steps, steps):
+        w = x[k:k + steps]
+        out.append(max(w) - min(w))
+    return out
+
+
+def amplitude_envelope(traj: Trajectory, window: float):
+    """Per-window peak-to-peak amplitude of both components.
+
+    Returns lists (window_centers, beta_amplitude, lambda_amplitude) over
+    the whole windows of WINDOW; a center is the mean of its window's times.
+    """
+    steps, nwin = _windows(traj, window)
+    centers = [_sum(traj.times[k:k + steps]) / steps
+               for k in range(0, nwin * steps, steps)]
+    return (centers, _peak_to_peak(traj.beta, steps, 0, nwin),
+            _peak_to_peak(traj.lambda_, steps, 0, nwin))
 
 
 def classify_dynamics(traj: Trajectory, window: float | None = None,
@@ -161,20 +197,18 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
     """Classify the envelope trend: 'decaying', 'sustained' or 'growing'.
 
     Compares the geometric-mean per-window drift of the beta envelope
-    (after a transient skip) against the drift tolerance.
+    (after a transient skip) against the drift tolerance.  Only the beta
+    amplitudes of the windows after the skip are computed.
     """
-    import numpy as np
-    span = float(traj.times[-1] - traj.times[0])
     if window is None:
-        window = span / 10.0
-    _, amp, _ = amplitude_envelope(traj, window)
-    start = int(len(amp) * skip_fraction)
-    amp = amp[start:]
+        window = (traj.times[-1] - traj.times[0]) / 10.0
+    steps, nwin = _windows(traj, window)
+    amp = _peak_to_peak(traj.beta, steps, int(nwin * skip_fraction), nwin)
     if len(amp) < 2:
         raise WindowTooShort("too few windows after transient skip")
     tiny = 1e-300
-    ratios = np.log((amp[1:] + tiny) / (amp[:-1] + tiny))
-    mean = float(np.mean(ratios))
+    ratios = [math.log((a1 + tiny) / (a0 + tiny)) for a0, a1 in zip(amp, amp[1:])]
+    mean = _sum(ratios) / len(ratios)
     if mean > math.log1p(drift_tol):
         return "growing"
     if mean < math.log1p(-drift_tol):
@@ -184,16 +218,14 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
 
 def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     """Mean spacing of alternate mean-crossings of beta in the tail."""
-    import numpy as np
-    n = len(traj.times)
-    start = int(n * (1.0 - tail_fraction))
-    t = traj.times[start:]
-    x = traj.beta[start:] - float(np.mean(traj.beta[start:]))
-    sign_change = x[:-1] * x[1:] < 0
-    idx = np.nonzero(sign_change)[0]
+    start = int(len(traj.times) * (1.0 - tail_fraction))
+    t, beta = traj.times[start:], traj.beta[start:]
+    mean = _sum(beta) / len(beta) if len(beta) else 0.0
+    x = [b - mean for b in beta]
+    idx = [i for i, (x0, x1) in enumerate(zip(x, x[1:])) if x0 * x1 < 0]
     if len(idx) < 3:
         raise NoOscillation(f"{len(idx)} mean-crossings in the tail, need >= 3")
     # linear interpolation of each crossing time
-    frac = x[idx] / (x[idx] - x[idx + 1])
-    crossings = t[idx] + frac * (t[idx + 1] - t[idx])
-    return float(np.mean(crossings[2:] - crossings[:-2]))
+    crossings = [t[i] + x[i] / (x[i] - x[i + 1]) * (t[i + 1] - t[i]) for i in idx]
+    gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
+    return _sum(gaps) / len(gaps)

@@ -243,8 +243,8 @@ def check_delay(tau: float) -> None:
 
 
 def check_depth(j_max: int) -> None:
-    """Raise InvalidInput unless 0 <= j_max <= MAX_LADDER_DEPTH."""
-    if not 0 <= j_max <= MAX_LADDER_DEPTH:
+    """Raise InvalidInput unless j_max is an int (a bool is not) in 0..MAX_LADDER_DEPTH."""
+    if type(j_max) is not int or not 0 <= j_max <= MAX_LADDER_DEPTH:
         raise InvalidInput(f"jmax must be in 0..{MAX_LADDER_DEPTH}, got {j_max!r}")
 
 

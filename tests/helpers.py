@@ -148,6 +148,51 @@ def rk4_ode_reference(coeffs, beta, lambda_, h, n):
     return np.array(out)
 
 
+# ------------------------------------------- trajectory diagnostics
+
+# The envelope, classification and period diagnostics as numpy computes
+# them: the library's standard-library versions must give the same labels,
+# the same period bits and the same envelopes.
+
+def np_amplitude_envelope(traj, window):
+    """(window centers, beta peak-to-peak, lambda peak-to-peak) per whole window."""
+    steps = int(round(window / traj.step))
+    nwin = len(traj.times) // steps
+    if steps < 5 or nwin == 0:
+        raise ValueError(f"window {window} spans {steps} steps, {nwin} windows")
+    cut = nwin * steps
+    times, beta, lambda_ = (np.asarray(c)[:cut].reshape(nwin, steps)
+                            for c in (traj.times, traj.beta, traj.lambda_))
+    return times.mean(axis=1), np.ptp(beta, axis=1), np.ptp(lambda_, axis=1)
+
+
+def np_classify_dynamics(traj, drift_tol=0.02, skip_fraction=0.2):
+    """'decaying', 'sustained' or 'growing' from the geometric-mean window drift."""
+    _, amp, _ = np_amplitude_envelope(traj, float(traj.times[-1] - traj.times[0]) / 10.0)
+    amp = amp[int(len(amp) * skip_fraction):]
+    if len(amp) < 2:
+        raise ValueError("too few windows after the transient skip")
+    mean = float(np.mean(np.log((amp[1:] + 1e-300) / (amp[:-1] + 1e-300))))
+    if mean > math.log1p(drift_tol):
+        return "growing"
+    if mean < math.log1p(-drift_tol):
+        return "decaying"
+    return "sustained"
+
+
+def np_oscillation_period(traj, tail_fraction=0.5):
+    """Mean spacing of alternate mean-crossings of beta in the tail."""
+    start = int(len(traj.times) * (1.0 - tail_fraction))
+    t = np.asarray(traj.times)[start:]
+    beta = np.asarray(traj.beta)[start:]
+    x = beta - float(np.mean(beta))
+    idx = np.nonzero(x[:-1] * x[1:] < 0)[0]
+    if len(idx) < 3:
+        raise ValueError(f"{len(idx)} mean-crossings in the tail")
+    crossings = t[idx] + x[idx] / (x[idx] - x[idx + 1]) * (t[idx + 1] - t[idx])
+    return float(np.mean(crossings[2:] - crossings[:-2]))
+
+
 # ---------------------------------------------------------- sampling
 
 def _jitter(rng, base, keys, lo=0.5, hi=1.5):

@@ -28,8 +28,8 @@ def test_criterion_1_equilibrium(case_a, case_b):
     # the integrator's inlined field vanishes there: a run started on it stays
     for _, c, e in (case_a, case_b):
         traj = simulate(c, 0.03, HistorySpec(beta=e.beta_e, lambda_=e.lambda_e), 50.0)
-        assert np.max(np.abs(traj.beta - e.beta_e)) < 1e-12
-        assert np.max(np.abs(traj.lambda_ - e.lambda_e)) < 1e-12
+        assert np.max(np.abs(np.asarray(traj.beta) - e.beta_e)) < 1e-12
+        assert np.max(np.abs(np.asarray(traj.lambda_) - e.lambda_e)) < 1e-12
     _ok(1, f"beta_e={eq.beta_e:.6f} lambda_e={eq.lambda_e:.6f} drift<1e-12 (A, B)")
 
 

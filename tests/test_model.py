@@ -32,7 +32,8 @@ def drift(coeffs, beta, lambda_, tau, t_end=50.0):
     """Largest departure of each component of simulate()'s trajectory, which
     inlines the vector field, from its constant history (beta, lambda_)."""
     traj = simulate(coeffs, tau, HistorySpec(beta=beta, lambda_=lambda_), t_end)
-    return np.max(np.abs(traj.beta - beta)), np.max(np.abs(traj.lambda_ - lambda_))
+    return (np.max(np.abs(np.asarray(traj.beta) - beta)),
+            np.max(np.abs(np.asarray(traj.lambda_) - lambda_)))
 
 
 def mp_derived(raw):
@@ -75,6 +76,19 @@ class TestValidation:
         case_a_raw["a1"] = float("nan")
         with pytest.raises(ConstraintViolation):
             validate_parameters(case_a_raw)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, 10**5000],
+                             ids=["1e400", "-1e400", "1e5000"])
+    def test_integer_too_large_for_a_float(self, value, case_a_raw):
+        # float() raises OverflowError, and an int of more than 4300 digits
+        # has no repr for the message; both read as an infinite float would
+        want = ("delta", math.inf if value > 0 else -math.inf, "must be finite")
+        with pytest.raises(ConstraintViolation) as err:
+            validate_parameters({**case_a_raw, "delta": value})
+        assert (err.value.name, err.value.value, err.value.constraint) == want
+        with pytest.raises(ConstraintViolation) as err:
+            replace_field(validate_parameters(case_a_raw), "delta", value)
+        assert (err.value.name, err.value.value, err.value.constraint) == want
 
     def test_g_positive_enforced(self, case_a_raw):
         case_a_raw["c"] = 0.19  # g = c - 0.2 < 0

@@ -1,11 +1,15 @@
 import hashlib
 import math
+from array import array
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
 import goodwin_delay.simulate as simulate_module
-from goodwin_delay.errors import GridTooLarge, NoOscillation, StepTooLarge, WindowTooShort
+from goodwin_delay.errors import (GoodwinDelayError, GridTooLarge, NoOscillation,
+                                  StepTooLarge, WindowTooShort)
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.simulate import (
     HistorySpec,
@@ -17,7 +21,8 @@ from goodwin_delay.simulate import (
 )
 from goodwin_delay.spectral import analyze_spectrum
 
-from helpers import rk4_ode_reference
+from helpers import (np_amplitude_envelope, np_classify_dynamics, np_oscillation_period,
+                     rk4_ode_reference)
 
 TAU0_A = 0.03484884438749684
 OMEGA0_A = 0.7080560034974415
@@ -32,8 +37,8 @@ class TestIntegrator:
         _, coeffs, eq = case_a
         hist = HistorySpec(beta=eq.beta_e, lambda_=eq.lambda_e)
         traj = simulate(coeffs, tau=0.03, history=hist, t_end=100.0)
-        drift = max(np.max(np.abs(traj.beta - eq.beta_e)),
-                    np.max(np.abs(traj.lambda_ - eq.lambda_e)))
+        drift = max(np.max(np.abs(np.asarray(traj.beta) - eq.beta_e)),
+                    np.max(np.abs(np.asarray(traj.lambda_) - eq.lambda_e)))
         assert drift < 1e-10
 
     def test_zero_delay_decays_toward_equilibrium(self, case_a):
@@ -78,17 +83,17 @@ class TestIntegrator:
         undelayed = simulate(coeffs, 0.0, hist, t_end=2.0, step_hint=tau / 4)
         delayed = simulate(coeffs, tau, hist, t_end=2.0, step_hint=tau / 4)
         n = min(len(undelayed.beta), len(delayed.beta))
-        diff = np.max(np.abs(undelayed.beta[:n] - delayed.beta[:n]))
+        diff = np.max(np.abs(np.asarray(undelayed.beta[:n]) - np.asarray(delayed.beta[:n])))
         assert diff < 1e-5
 
     def test_axes_are_invariant(self, case_a):
         _, coeffs, _ = case_a
         traj_b = simulate(coeffs, 0.05, HistorySpec(beta=0.0, lambda_=0.4),
                           t_end=20.0)
-        assert np.all(traj_b.beta == 0.0)
+        assert np.all(np.asarray(traj_b.beta) == 0.0)
         traj_l = simulate(coeffs, 0.05, HistorySpec(beta=0.4, lambda_=0.0),
                           t_end=20.0)
-        assert np.all(traj_l.lambda_ == 0.0)
+        assert np.all(np.asarray(traj_l.lambda_) == 0.0)
 
     def test_step_too_large(self, case_a):
         _, coeffs, eq = case_a
@@ -270,3 +275,48 @@ class TestDiagnostics:
                           step=float(t[1] - t[0]))
         with pytest.raises(NoOscillation):
             oscillation_period(traj)
+
+
+@pytest.mark.parametrize("n", [*range(10), *range(127, 131), 8191, 8192, 8193, 100_003])
+def test_sum_follows_numpy_pairwise_order(n):
+    # magnitudes over 16 decades, so that another summation order changes the bits
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    want = float(np.add.reduce(values))
+    assert repr(simulate_module._sum(array("d", values))) == repr(want)
+    if n == 100_003:
+        assert reduce(add, values.tolist()) != want
+    zeros = np.full(n, -0.0)
+    assert repr(simulate_module._sum(array("d", zeros))) == repr(float(np.add.reduce(zeros)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, GoodwinDelayError):
+        return "raises"
+
+
+@pytest.mark.parametrize("run", ["tau_zero", "below_tau0", "above_tau0", "overflow"])
+@pytest.mark.parametrize("coeff_case", ["case_a", "case_b"])
+def test_diagnostics_match_numpy_reference(coeff_case, run, request):
+    _, coeffs, eq = request.getfixturevalue(coeff_case)
+    tau0 = analyze_spectrum(eq, coeffs).tau0
+    tau, hist = {
+        "tau_zero": (0.0, perturbed_history(eq)),
+        "below_tau0": (tau0 - 0.005, perturbed_history(eq)),
+        "above_tau0": (tau0 + 0.005, perturbed_history(eq)),
+        "overflow": (0.05, HistorySpec(beta=50.0, lambda_=0.0)),
+    }[run]
+    traj = simulate(coeffs, tau, hist, t_end=500.0)
+    assert traj.overflow == (run == "overflow")
+    assert _outcome(classify_dynamics, traj) == _outcome(np_classify_dynamics, traj)
+    assert (_outcome(lambda: repr(oscillation_period(traj)))
+            == _outcome(lambda: repr(np_oscillation_period(traj))))
+    for window in (1.0, 10.0):
+        got = _outcome(amplitude_envelope, traj, window)
+        want = _outcome(np_amplitude_envelope, traj, window)
+        if want == "raises":
+            assert got == "raises"
+        else:
+            assert [array("d", g).tobytes() for g in got] == [w.tobytes() for w in want]

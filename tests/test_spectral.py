@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodwin_delay.errors import AcosDomain, DegenerateCrossing, NonFiniteCoefficient
+from goodwin_delay.errors import (AcosDomain, DegenerateCrossing, InvalidInput,
+                                  NonFiniteCoefficient)
 from goodwin_delay.model import Equilibrium, SubsystemCoefficients, validate_parameters
 from goodwin_delay.spectral import (
     CharCoefficients,
@@ -310,6 +311,13 @@ class TestVerdicts:
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 verdict_at(rep, tau)
+
+    @pytest.mark.parametrize("j_max", [2.5, True, "3", None])
+    def test_depth_that_is_not_an_int_rejected(self, j_max, case_a):
+        # 2.5 used to fail later in range(), and True built a 2-rung ladder
+        _, coeffs, eq = case_a
+        with pytest.raises(InvalidInput):
+            analyze_spectrum(eq, coeffs, j_max=j_max)
 
     def test_interval_is_the_next_ladder_delay(self, case_a, case_b):
         # the interval ends at the smallest ladder delay above tau0
