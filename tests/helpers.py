@@ -2,17 +2,22 @@
 
 Everything here deliberately avoids the code paths under test: root
 counting goes through the argument principle, projection coefficients
-through finite differences, and linear solves through high-precision
-mpmath LU.
+through finite differences, linear solves through high-precision mpmath
+LU, the quadratic terms through polarizing the vector field, the first
+Lyapunov coefficient through the Hassard W-function reduction and through
+the amplitude drift of a simulated run.
 """
 
 import cmath
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
 
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
+from goodwin_delay.simulate import HistorySpec, amplitude_envelope, oscillation_period, simulate
 from goodwin_delay.spectral import char_coefficients, classify_h
 
 CASE_A = dict(mu1=0.0, mu2=1.0, nu1=0.02, nu2=0.04, n=0.01, gamma1=0.01,
@@ -79,6 +84,59 @@ def brute_force_onset(p0, r0, q0, tau_max, tol=1e-4):
 
 # ---------------------------------------------------- normal-form oracles
 
+def operator_matrices(coeffs, eq):
+    """Instantaneous and delayed Jacobian blocks of the linearization."""
+    be, le = eq.beta_e, eq.lambda_e
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    J0 = np.array([[gc * be, -d0 * be], [gc * le, -wd * le]])
+    Jt = np.array([[0.0, 0.0], [r1 * le, 0.0]])
+    return J0, Jt
+
+
+def vector_field(coeffs, beta, lambda_, beta_tau):
+    """The subsystem's right-hand side, as the model module states it."""
+    return np.array([
+        (coeffs.beta0 + coeffs.growth_coupling * beta - coeffs.delta0 * lambda_) * beta,
+        (coeffs.lambda0 - coeffs.wage_damping * lambda_ + coeffs.growth_coupling * beta
+         + coeffs.rho1 * beta_tau) * lambda_])
+
+
+def bilinear_form(coeffs, eq, u, v):
+    """B(u, v) of the quadratic terms about the equilibrium, by polarizing
+    the vector field itself; u and v are (beta(0), lambda(0), beta(-tau))."""
+    e = np.array([eq.beta_e, eq.lambda_e, eq.beta_e], dtype=complex)
+
+    def f(w):
+        return vector_field(coeffs, *(e + np.asarray(w, dtype=complex)))
+
+    return f(np.add(u, v)) - f(u) - f(v) + f((0, 0, 0))
+
+
+def phi_values(ep, conj=False):
+    """(beta(0), lambda(0), beta(-tau)) of phi = exp(i omega theta) q."""
+    q0, q1 = ep.q(0.0), ep.q(-1.0)
+    vals = (q0[0], q0[1], q1[0])
+    return tuple(np.conj(vals)) if conj else vals
+
+
+def e1_system(ep, eq, coeffs):
+    """2i omega I - J0 - Jtau exp(-2i omega tau) and B(phi, phi), built from
+    operator_matrices and bilinear_form."""
+    J0, Jt = operator_matrices(coeffs, eq)
+    w, tk = ep.omega, ep.tau_k
+    M = 2j * w * np.eye(2) - J0 - Jt * cmath.exp(-2j * w * tk)
+    phi = phi_values(ep)
+    return M.tolist(), bilinear_form(coeffs, eq, phi, phi).tolist()
+
+
+def e2_system(ep, eq, coeffs):
+    """-(J0 + Jtau) and B(phi, conj(phi)), which is real."""
+    J0, Jt = operator_matrices(coeffs, eq)
+    rhs = bilinear_form(coeffs, eq, phi_values(ep), phi_values(ep, conj=True))
+    return (-(J0 + Jt)).tolist(), rhs.real.tolist()
+
+
 def fd_quadratic_g(ep, coeffs, step=1e-5):
     """g20, g11, g02 by finite-difference Taylor coefficients of the
     projected nonlinearity (W terms enter only at third order)."""
@@ -122,6 +180,181 @@ def bilinear_inner_product(ep, coeffs, eq):
     j_tau = np.array([[0.0, 0.0], [coeffs.rho1 * eq.lambda_e, 0.0]])
     corr = tk * cmath.exp(-1j * w * tk) * (qs0 @ (j_tau @ q0))
     return point + corr
+
+
+# The Hassard, Kazarinoff & Wan (CUP 1981) reduction in rescaled time
+# (delay 1): projection coefficients g20, g11, g02, the closed-form
+# center-manifold corrections W20 and W11 with their constant vectors E1
+# and E2, then g21 and c1(0).  A different derivation from the library's
+# characteristic-matrix formula, so the two check each other.
+
+class EigenPair(NamedTuple):
+    alpha: complex
+    alpha_star: complex
+    B: complex
+    omega: float
+    tau_k: float
+
+    def q(self, theta):
+        e = cmath.exp(1j * self.omega * self.tau_k * theta)
+        return e, self.alpha * e
+
+    def q_star(self, s):
+        e = cmath.exp(1j * self.omega * self.tau_k * s)
+        return self.B * self.alpha_star * e, self.B * e
+
+
+def eigen_pair(eq, coeffs, omega, tau_k):
+    """Critical eigenvectors q, q* with <q*, q> = 1."""
+    be, le = eq.beta_e, eq.lambda_e
+    gc, wd, d0 = coeffs.growth_coupling, coeffs.wage_damping, coeffs.delta0
+    alpha = (gc * be - 1j * omega) / (d0 * be)
+    alpha_star = (1j * omega - wd * le) / (d0 * be)
+    denom = (alpha_star.conjugate() + alpha
+             + tau_k * cmath.exp(-1j * omega * tau_k) * coeffs.rho1 * le)
+    # B-bar = 1/denom, so B is the conjugate reciprocal
+    return EigenPair(alpha=alpha, alpha_star=alpha_star, B=(1.0 / denom).conjugate(),
+                     omega=omega, tau_k=tau_k)
+
+
+def quadratic_g(ep, coeffs):
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    a = ep.alpha
+    ca = a.conjugate()
+    cas = ep.alpha_star.conjugate()
+    Bbar = ep.B.conjugate()
+    tk = ep.tau_k
+    em = cmath.exp(-1j * ep.omega * tk)
+    epl = cmath.exp(1j * ep.omega * tk)
+    g20 = 2 * Bbar * tk * (a * gc + cas * gc - a * cas * d0 - a * a * wd + a * r1 * em)
+    g11 = Bbar * tk * (a * gc + ca * gc + 2 * cas * gc - a * cas * d0
+                       - ca * cas * d0 - 2 * a * ca * wd + epl * a * r1 + em * ca * r1)
+    g02 = 2 * Bbar * tk * (ca * gc + cas * gc - ca * cas * d0 - ca * ca * wd
+                           + epl * ca * r1)
+    return g20, g11, g02
+
+
+def _cramer(m00, m01, m10, m11, r0, r1):
+    det = m00 * m11 - m01 * m10
+    return (r0 * m11 - m01 * r1) / det, (m00 * r1 - r0 * m10) / det
+
+
+def solve_E1(ep, eq, coeffs, paper_entry=False):
+    """Constant vector of the exp(2i omega tau_k theta) correction term.
+
+    PAPER_ENTRY writes entry (0,1) as d0*lambda_e, the suspected erratum
+    that reproduces the published c1(0); the linearization gives d0*beta_e.
+    """
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    be, le = eq.beta_e, eq.lambda_e
+    a = ep.alpha
+    w, tk = ep.omega, ep.tau_k
+    em = cmath.exp(-1j * w * tk)
+    return _cramer(
+        2j * w - gc * be, d0 * (le if paper_entry else be),
+        -gc * le - r1 * le * cmath.exp(-2j * w * tk), 2j * w + wd * le,
+        2 * gc - 2 * a * d0, 2 * gc * a - 2 * a * a * wd + 2 * r1 * a * em)
+
+
+def solve_E2(ep, eq, coeffs, paper_entry=False):
+    """Constant vector of the zero-frequency correction term (real)."""
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    be, le = eq.beta_e, eq.lambda_e
+    a = ep.alpha
+    epl = cmath.exp(1j * ep.omega * ep.tau_k)
+    rhs0 = 2 * gc - a * d0 - a.conjugate() * d0
+    rhs1 = 2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real
+    return _cramer(gc * be, -d0 * (le if paper_entry else be), (gc + r1) * le, -wd * le,
+                   -rhs0.real, -rhs1)
+
+
+class WFunctions(NamedTuple):
+    """Closed-form second-order center-manifold corrections, as (beta, lambda)
+    pairs; q(0) = (1, alpha)."""
+
+    ep: EigenPair
+    g20: complex
+    g11: complex
+    g02: complex
+    E1: tuple
+    E2: tuple
+
+    def w20(self, theta):
+        wt = self.ep.omega * self.ep.tau_k
+        a = self.ep.alpha
+        cq = 1j * self.g20 / wt
+        cqb = 1j * self.g02.conjugate() / (3.0 * wt)
+        up, down = cmath.exp(1j * wt * theta), cmath.exp(-1j * wt * theta)
+        twice = cmath.exp(2j * wt * theta)
+        return (cq * up + cqb * down + self.E1[0] * twice,
+                cq * a * up + cqb * a.conjugate() * down + self.E1[1] * twice)
+
+    def w11(self, theta):
+        wt = self.ep.omega * self.ep.tau_k
+        a = self.ep.alpha
+        cq = -1j * self.g11 / wt
+        cqb = 1j * self.g11.conjugate() / wt
+        up, down = cmath.exp(1j * wt * theta), cmath.exp(-1j * wt * theta)
+        return (cq * up + cqb * down + self.E2[0],
+                cq * a * up + cqb * a.conjugate() * down + self.E2[1])
+
+
+def g21(ep, coeffs, W):
+    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
+                      coeffs.delta0, coeffs.rho1)
+    a = ep.alpha
+    ca = a.conjugate()
+    cas = ep.alpha_star.conjugate()
+    wt = ep.omega * ep.tau_k
+    em, epl = cmath.exp(-1j * wt), cmath.exp(1j * wt)
+    W20_0, W20_m1, W11_0, W11_m1 = W.w20(0.0), W.w20(-1.0), W.w11(0.0), W.w11(-1.0)
+    return ep.B.conjugate() * ep.tau_k * (
+        2 * a * gc * W11_0[0] + 4 * cas * gc * W11_0[0]
+        + ca * gc * W20_0[0] + 2 * cas * gc * W20_0[0]
+        + 2 * gc * W11_0[1] + gc * W20_0[1]
+        - 2 * a * cas * d0 * W11_0[0] - ca * cas * d0 * W20_0[0]
+        - 2 * cas * d0 * W11_0[1] - cas * d0 * W20_0[1]
+        - 4 * a * wd * W11_0[1] - 2 * ca * wd * W20_0[1]
+        + 2 * a * r1 * W11_m1[0] + ca * r1 * W20_m1[0]
+        + 2 * r1 * em * W11_0[1] + r1 * epl * W20_0[1]
+    )
+
+
+def hassard_c1(eq, coeffs, omega, tau_k, paper_entry=False):
+    """c1(0) in rescaled time by the Hassard reduction."""
+    ep = eigen_pair(eq, coeffs, omega, tau_k)
+    g20, g11, g02 = quadratic_g(ep, coeffs)
+    W = WFunctions(ep, g20, g11, g02, solve_E1(ep, eq, coeffs, paper_entry),
+                   solve_E2(ep, eq, coeffs, paper_entry))
+    wt = omega * tau_k
+    return ((1j / (2.0 * wt)) * (g11 * g20 - 2.0 * abs(g11) ** 2 - abs(g02) ** 2 / 3.0)
+            + g21(ep, coeffs, W) / 2.0)
+
+
+@functools.lru_cache(maxsize=8)
+def drift_oracle(coeffs, eq, report, a0=0.05, t_end=1500.0, t_fit=300.0):
+    """Re c1(0) and Im c1(0) measured in the time domain at the crossing.
+
+    Simulates at tau0 from the constant history (beta_e - a0, lambda_e) and
+    takes the beta peak-to-peak envelope a over windows of 2 pi / omega0.
+    On the center manifold z' = i omega0 z + (c1/tau0) z |z|^2 and a = 4|z|,
+    so over t > t_fit 1/a^2 falls at the rate Re c1 / (8 tau0) and the
+    frequency is omega0 + Im c1 a^2 / (16 tau0).  Returns the c1(0) that the
+    fitted slope and the measured frequency imply.
+    """
+    tau0, omega0 = report.tau0, report.omega0
+    traj = simulate(coeffs, tau0, HistorySpec(beta=eq.beta_e - a0, lambda_=eq.lambda_e),
+                    t_end)
+    centers, amp, _ = amplitude_envelope(traj, 2.0 * math.pi / omega0)
+    t = np.asarray(centers)
+    a = np.asarray(amp)[t > t_fit]
+    slope = np.polyfit(t[t > t_fit], 1.0 / a ** 2, 1)[0]
+    period = oscillation_period(traj, tail_fraction=1.0 - t_fit / t_end)
+    shift = 2.0 * math.pi / period - omega0
+    return complex(-8.0 * tau0 * slope, 16.0 * tau0 * shift / float(np.mean(a ** 2)))
 
 
 # ------------------------------------------------------ zero-delay ODE

@@ -10,11 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from goodwin_delay.normal_form import _quadratic_g, eigen_pair, hopf_analysis, solve_E1, solve_E2
+from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
 from goodwin_delay.spectral import analyze_spectrum, char_residual, critical_delays
 
-from helpers import brute_force_onset, fd_quadratic_g, sample_crossing_set
+from helpers import (brute_force_onset, drift_oracle, eigen_pair, fd_quadratic_g, hassard_c1,
+                     quadratic_g, sample_crossing_set)
 
 
 def _ok(num, msg):
@@ -48,13 +49,33 @@ def test_criterion_3_normal_form(case_a):
     _, coeffs, eq = case_a
     rep = analyze_spectrum(eq, coeffs)
     hopf = hopf_analysis(eq, coeffs, rep)
-    assert hopf.c1_0.real == pytest.approx(0.00132164, abs=1e-4)
-    assert hopf.c1_0.imag == pytest.approx(-0.0136561, abs=1e-4)
+    # c1(0) against both independent oracles
+    ref = hassard_c1(eq, coeffs, rep.omega0, rep.tau0)
+    assert abs(hopf.c1_0 - ref) <= 1e-12 * abs(ref)
+    measured = drift_oracle(coeffs, eq, rep)
+    assert measured.real / hopf.c1_0.real == pytest.approx(1.0, abs=0.01)
+    assert measured.imag / hopf.c1_0.imag == pytest.approx(1.0, abs=0.01)
+    # the paper's qualitative claim: subcritical, with an unstable orbit
     assert hopf.mu2_bar < 0
     assert hopf.direction == "subcritical"
     assert hopf.beta2 > 0
     assert hopf.orbit_stability == "unstable"
-    _ok(3, f"c1(0)={hopf.c1_0:.7f} subcritical, orbit unstable")
+    _ok(3, f"c1(0)={hopf.c1_0:.7g} matches both oracles; subcritical, orbit unstable")
+
+
+def test_criterion_3_suspected_erratum(case_a):
+    """The paper prints c1(0) = 0.00132164 - 0.0136561i.  The Hassard
+    reduction gives it, to the printed digits, only with entry (0,1) of its
+    E1 and E2 matrices written as delta0*lambda_e; the linearization gives
+    delta0*beta_e.  The printed value looks like an erratum for that entry."""
+    _, coeffs, eq = case_a
+    rep = analyze_spectrum(eq, coeffs)
+    printed = hassard_c1(eq, coeffs, rep.omega0, rep.tau0, paper_entry=True)
+    assert printed.real == pytest.approx(0.00132164, abs=5e-9)
+    assert printed.imag == pytest.approx(-0.0136561, abs=5e-8)
+    corrected = hopf_analysis(eq, coeffs, rep).c1_0
+    assert abs(corrected - printed) > 1e-3 * abs(printed)
+    _ok(3, f"suspected erratum: the swapped entry gives the printed {printed:.6g}")
 
 
 def test_criterion_4_system_b(case_b):
@@ -140,26 +161,27 @@ def test_criterion_8_integrator_order(case_a):
 
 def test_criterion_9_normal_form_oracle(case_a):
     _, coeffs, eq = case_a
-    rep = analyze_spectrum(eq, coeffs)
-    ep = eigen_pair(eq, coeffs, rep.omega0, rep.tau0)
 
-    def check(ep_, coeffs_):
-        exact = _quadratic_g(ep_, coeffs_)
+    def check(coeffs_, eq_):
+        rep_ = analyze_spectrum(eq_, coeffs_)
+        ep_ = eigen_pair(eq_, coeffs_, rep_.omega0, rep_.tau0)
+        exact = quadratic_g(ep_, coeffs_)
         approx = fd_quadratic_g(ep_, coeffs_)
         scale = max(abs(v) for v in exact)
         for e, a in zip(exact, approx):
             assert abs(e - a) < 1e-4 * scale
+        # the library's solve asserts its back-substitution residual at 1e-12
+        c1 = hopf_analysis(eq_, coeffs_, rep_).c1_0
+        ref = hassard_c1(eq_, coeffs_, rep_.omega0, rep_.tau0)
+        assert abs(c1 - ref) <= 1e-11 * abs(ref)
 
-    check(ep, coeffs)
+    check(coeffs, eq)
     rng = np.random.default_rng(17)
     for _ in range(20):
         _, coeffs_r, eq_r, _, _ = sample_crossing_set(rng, "A")
-        rep_r = analyze_spectrum(eq_r, coeffs_r)
-        check(eigen_pair(eq_r, coeffs_r, rep_r.omega0, rep_r.tau0), coeffs_r)
-    # back-substitution residuals are asserted inside the solvers at 1e-12
-    solve_E1(ep, eq, coeffs)
-    solve_E2(ep, eq, coeffs)
-    _ok(9, "g20/g11/g02 match finite differences; E1/E2 residuals < 1e-12")
+        check(coeffs_r, eq_r)
+    _ok(9, "oracle g20/g11/g02 match finite differences; c1(0) matches the "
+           "Hassard oracle; h20 residual < 1e-12")
 
 
 def test_criterion_10_determinism(tmp_path):

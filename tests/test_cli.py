@@ -82,7 +82,7 @@ class TestAnalyze:
         assert "tau0: 0.0196382936" in capsys.readouterr().out
         doc = json.loads((out / "analysis.json").read_text())
         assert doc["spectral"]["tau0"] == pytest.approx(0.0196383, abs=1e-6)
-        assert doc["hopf"]["extrapolated"] is True
+        assert "extrapolated" not in doc["hopf"]
 
     def test_missing_field_exits_1(self, tmp_path, capsys):
         raw = dict(CASE_A)
@@ -135,18 +135,18 @@ class TestAnalyze:
         assert not out.exists()
 
     def test_singular_system_exits_2(self, config_a, tmp_path, capsys, monkeypatch):
-        # no valid configuration makes E2 singular (gc = rho1 = 0 leaves the
-        # equilibrium undefined), so feed the real solver singular coefficients
-        real_solve = normal_form.solve_E2
+        # no valid configuration makes Delta(2i omega0) singular (2i omega0
+        # would have to be a root too), so hand the guarded solve a zero matrix
+        real_solve = normal_form._check_solve
 
-        def singular_solve(ep, eq, coeffs):
-            return real_solve(ep, eq, coeffs._replace(growth_coupling=0.0, rho1=0.0))
+        def singular_solve(m00, m01, m10, m11, r0, r1, what):
+            return real_solve(0.0, 0.0, 0.0, 0.0, r0, r1, what)
 
-        monkeypatch.setattr(normal_form, "solve_E2", singular_solve)
+        monkeypatch.setattr(normal_form, "_check_solve", singular_solve)
         rc = main(["analyze", "--config", config_a, "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("analysis error: E2: determinant ")
+        assert len(err) == 1 and err[0].startswith("analysis error: h20: determinant ")
 
     def test_determinism(self, config_a, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -401,14 +401,14 @@ class TestSweep:
 PINNED_SWEEPS = {
     "tau_B": (["--variant", "B", "--param", "tau", "--start", "0",
                "--stop", "0.1", "--count", "101", "--with-hopf"],
-              "1abb91daebf9eec9be9ba1d3d5bb02bac00b4ef46ea1a555e0aa7a08ecf6fc3f"),
+              "7c8bbfc02ecc11212b2536fb1df737df4faa4d76536278c2ce0f8488abf78a21"),
     "delta_A": (["--param", "delta", "--start", "3.5", "--stop", "5",
                  "--count", "101", "--tau", "0.03", "--with-hopf"],
-                "25c655a26c7f6d339c9766a4eb805b145ee43183ba53abcf84788d9c12a11abb"),
+                "cbe788cb6fbea1c24a46f0ff4994c4cdd3d88179302436f54ae64b9339fb0235"),
     # both re-derive g/rho0/rho1 per row and cross constraint edges
     "s_pi_A": (["--param", "s_pi", "--start", "0.01", "--stop", "1.2",
                 "--count", "301", "--tau", "0.03", "--with-hopf"],
-               "f31db188076b3ec819f623133f78b0467a846bbf42d9b8b7c3b2f4475e8f57fe"),
+               "e69bfcc49db9a498ed6318a9dc5ab907bc7f748f14d4305c2da221942663976f"),
     "a3_A": (["--param", "a3", "--start", "0.5", "--stop", "1.2", "--count", "301"],
              "b9a806a515a9e240172dc055db208917fefd26c6867d7d69d15eb33fc62d61e1"),
 }

@@ -1,7 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodwin_delay import normal_form
 from goodwin_delay.errors import (
@@ -11,32 +14,46 @@ from goodwin_delay.errors import (
     SingularSystem,
     ZeroTransversality,
 )
-from goodwin_delay.normal_form import (
-    EigenPair,
-    GCoefficients,
-    WFunctions,
-    _quadratic_g,
-    eigen_pair,
-    g_coefficients,
-    hopf_analysis,
-    lyapunov_quantities,
-    solve_E1,
-    solve_E2,
-)
-from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
+from goodwin_delay.model import (Equilibrium, SubsystemCoefficients, equilibrium,
+                                 subsystem_coefficients, validate_parameters)
+from goodwin_delay.normal_form import hopf_analysis, lyapunov_quantities
 from goodwin_delay.spectral import analyze_spectrum
 
 from helpers import (
     CASE_A,
     CASE_B,
+    EigenPair,
+    WFunctions,
+    bilinear_form,
     bilinear_inner_product,
+    drift_oracle,
+    e1_system,
+    e2_system,
+    eigen_pair,
     fd_quadratic_g,
+    hassard_c1,
     mp_solve,
+    operator_matrices,
+    phi_values,
+    quadratic_g,
     sample_crossing_set,
+    solve_E1,
+    solve_E2,
 )
 
-C1_REF = 0.0013216356828792731 - 0.013656094307539212j
-C1_REF_B = 0.0006737422835132387 - 0.007499412084727984j
+# full-precision values of the characteristic-matrix reduction
+C1_REF = 1.2801195366549939e-05 - 0.01287742939503829j
+C1_REF_B = 1.1177770406613928e-06 - 0.007102836932252431j
+
+# Case A's fields jittered and rounded to 4 digits.  Along a2, Re c1(0)
+# changes sign near 0.6533 while the crossing (omega0*tau0 near 0.2036) moves
+# continuously: a generalized-Hopf (Bautin) point.  Case A itself has none
+# along a2: its only sign change there, near a2 = 0.366, is where tau0
+# reaches 0 and the first crossing moves to another branch of the ladder.
+BAUTIN_BASE = dict(mu1=0.0, mu2=0.8275, nu1=0.02362, nu2=0.04694, n=0.01193,
+                   gamma1=0.01057, gamma2=0.01078, a1=0.7444, a2=0.9238,
+                   a3=0.7463, b1=1.644, b2=0.0, b3=0.4616, c=0.3006, s_pi=0.1852,
+                   s_w=0.03734, delta=5.275)
 
 
 @pytest.fixture
@@ -47,44 +64,17 @@ def case_a_pair(case_a):
     return coeffs, eq, rep, ep
 
 
-def operator_matrices(coeffs, eq):
-    """Instantaneous and delayed Jacobian blocks of the linearization."""
-    be, le = eq.beta_e, eq.lambda_e
-    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
-                      coeffs.delta0, coeffs.rho1)
-    J0 = np.array([[gc * be, -d0 * be], [gc * le, -wd * le]])
-    Jt = np.array([[0.0, 0.0], [r1 * le, 0.0]])
-    return J0, Jt
-
-
-def e1_system(ep, eq, coeffs):
-    """Matrix and right-hand side of the E1 system, written out afresh."""
-    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
-                      coeffs.delta0, coeffs.rho1)
-    be, le = eq.beta_e, eq.lambda_e
-    w, tk = ep.omega, ep.tau_k
-    a = ep.alpha
-    em = cmath.exp(-1j * w * tk)
-    M = [[2j * w - gc * be, d0 * le],
-         [-gc * le - r1 * le * cmath.exp(-2j * w * tk), 2j * w + wd * le]]
-    rhs = [2 * gc - 2 * a * d0, 2 * gc * a - 2 * a * a * wd + 2 * r1 * a * em]
-    return M, rhs
-
-
-def e2_system(ep, eq, coeffs):
-    """Matrix and (real) right-hand side of the E2 system."""
-    gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
-                      coeffs.delta0, coeffs.rho1)
-    be, le = eq.beta_e, eq.lambda_e
-    a = ep.alpha
-    epl = cmath.exp(1j * ep.omega * ep.tau_k)
-    M = [[gc * be, -d0 * le], [(gc + r1) * le, -wd * le]]
-    rhs = [-(2 * gc - 2 * (a * d0).real),
-           -(2 * gc * a.real - 2 * wd * abs(a) ** 2 + 2 * r1 * (a * epl).real)]
-    return M, rhs
+def bautin_row(a2):
+    p = validate_parameters({**BAUTIN_BASE, "a2": a2})
+    coeffs = subsystem_coefficients(p, "A")
+    eq = equilibrium(coeffs, p)
+    rep = analyze_spectrum(eq, coeffs)
+    return coeffs, eq, rep, hopf_analysis(eq, coeffs, rep)
 
 
 class TestEigenPair:
+    """The Hassard oracle's eigenvectors."""
+
     def test_right_eigenvector_residual(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         J0, Jt = operator_matrices(coeffs, eq)
@@ -128,24 +118,26 @@ class TestEigenPair:
             assert bilinear_inner_product(ep, coeffs, eq) == pytest.approx(
                 1.0, abs=1e-10)
 
-    def test_degenerate_normalization_guard(self):
-        # at omega = tau_k = 0 the denominator reduces to
-        # (gc*beta_e - wd*lambda_e)/(delta0*beta_e); make it vanish exactly
-        from goodwin_delay.model import Equilibrium, SubsystemCoefficients
-
+    def test_degenerate_normalization_guard(self, case_a):
+        # p Delta'(i w) q = (gc*beta_e - wd*lambda_e - 2i*w)/(delta0*beta_e)
+        # + tau*rho1*lambda_e*exp(-i*w*tau); at w*tau = 3*pi/2 these choices
+        # cancel it to rounding
+        _, _, eq_a = case_a
         coeffs = SubsystemCoefficients(variant="A", beta0=0.1, lambda0=-0.1,
                                        delta0=1.0, growth_coupling=0.1,
-                                       wage_damping=0.1, rho1=1.0)
-        eq = Equilibrium(beta_e=0.5, lambda_e=0.5, interior=True,
-                         lambda_star=None)
+                                       wage_damping=0.1, rho1=12.0 * math.pi)
+        eq = Equilibrium(beta_e=0.5, lambda_e=0.5, interior=True, lambda_star=None)
+        rep = analyze_spectrum(eq_a, coeffs)._replace(omega0=1.5 * math.pi, tau0=1.0)
         with pytest.raises(DegenerateNormalization):
-            eigen_pair(eq, coeffs, 0.0, 0.0)
+            hopf_analysis(eq, coeffs, rep)
 
 
 class TestQuadraticG:
+    """The Hassard oracle's projection coefficients."""
+
     def test_case_a_against_finite_differences(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
-        g20, g11, g02 = _quadratic_g(ep, coeffs)
+        g20, g11, g02 = quadratic_g(ep, coeffs)
         f20, f11, f02 = fd_quadratic_g(ep, coeffs)
         # g11 vanishes to machine precision here, so measure each
         # coefficient against the scale of the whole triple
@@ -160,7 +152,7 @@ class TestQuadraticG:
             _, coeffs, eq, c, h = sample_crossing_set(rng, "A")
             rep = analyze_spectrum(eq, coeffs)
             ep = eigen_pair(eq, coeffs, rep.omega0, rep.tau0)
-            exact = _quadratic_g(ep, coeffs)
+            exact = quadratic_g(ep, coeffs)
             approx = fd_quadratic_g(ep, coeffs)
             for e, a in zip(exact, approx):
                 assert abs(e - a) <= 1e-4 * max(1.0, abs(e))
@@ -183,7 +175,7 @@ class TestQuadraticG:
                 rho1 = rng.uniform(0.1, 1.5)
 
             coeffs = FakeCoeffs()
-            g20, g11, g02 = _quadratic_g(ep, coeffs)
+            g20, g11, g02 = quadratic_g(ep, coeffs)
             ca = np.conj(ep.alpha)
             cas = np.conj(ep.alpha_star)
             Bbar = np.conj(ep.B)
@@ -196,6 +188,9 @@ class TestQuadraticG:
 
 
 class TestCorrectionSolves:
+    """The Hassard oracle's hand-written E1/E2 systems against the ones
+    built from operator_matrices and the polarized vector field."""
+
     def test_e1_residual_and_cramer(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         E1 = solve_E1(ep, eq, coeffs)
@@ -222,75 +217,93 @@ class TestCorrectionSolves:
             _, coeffs, eq, c, h = sample_crossing_set(rng, variant)
             rep = analyze_spectrum(eq, coeffs)
             ep = eigen_pair(eq, coeffs, rep.omega0, rep.tau0)
+            # E2 solves B(phi, conj(phi)) = 0: compare it on E1's scale
+            M, rhs = e1_system(ep, eq, coeffs)
+            scale = np.max(np.abs(mp_solve(M, rhs)))
             for solve, system in ((solve_E1, e1_system), (solve_E2, e2_system)):
                 ref = mp_solve(*system(ep, eq, coeffs))
                 err = np.max(np.abs(np.array(solve(ep, eq, coeffs)) - ref))
-                assert err <= 1e-12 * np.max(np.abs(ref))
+                assert err <= 1e-12 * scale
 
     def test_e2_determinant_closed_form(self, case_a_pair):
         coeffs, eq, rep, ep = case_a_pair
         gc, wd, d0, r1 = (coeffs.growth_coupling, coeffs.wage_damping,
                           coeffs.delta0, coeffs.rho1)
         be, le = eq.beta_e, eq.lambda_e
-        det = gc * be * (-wd * le) - (-d0 * le) * (gc + r1) * le
-        closed = le * (d0 * le * (gc + r1) - gc * wd * be)
+        M, _ = e2_system(ep, eq, coeffs)
+        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+        closed = be * le * (d0 * (gc + r1) - gc * wd)
         assert det == pytest.approx(closed, rel=1e-12)
         assert abs(det) > 1e-6  # well away from the singular guard
 
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_h11_source_vanishes_on_samples(self, variant):
+        # B(phi, conj(phi)) = 0 at every crossing, so the library drops h11
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            _, coeffs, eq, c, h = sample_crossing_set(rng, variant)
+            rep = analyze_spectrum(eq, coeffs)
+            ep = eigen_pair(eq, coeffs, rep.omega0, rep.tau0)
+            phi, phib = phi_values(ep), phi_values(ep, conj=True)
+            b11 = bilinear_form(coeffs, eq, phi, phib)
+            b20 = bilinear_form(coeffs, eq, phi, phi)
+            assert np.max(np.abs(b11)) <= 1e-12 * np.max(np.abs(b20))
+
 
 class TestSolveGuards:
-    def test_singular_e2_raises(self, case_a_pair):
-        # gc = rho1 = 0 zeroes the first column of E2's matrix: det is exactly 0
+    def test_singular_solve_raises(self, case_a_pair, monkeypatch):
+        # a singular Delta(2i omega) needs 2i*omega0 to be a root as well, which
+        # no sampled crossing gives: zero the matrix the guard receives
         coeffs, eq, rep, ep = case_a_pair
-        singular = coeffs._replace(growth_coupling=0.0, rho1=0.0)
-        with pytest.raises(SingularSystem, match=r"^E2: determinant "):
-            solve_E2(ep, eq, singular)
+        real_solve = normal_form._check_solve
+        monkeypatch.setattr(
+            normal_form, "_check_solve",
+            lambda m00, m01, m10, m11, r0, r1, what: real_solve(0, 0, 0, 0, r0, r1, what))
+        with pytest.raises(SingularSystem, match=r"^h20: determinant "):
+            hopf_analysis(eq, coeffs, rep)
 
-    @pytest.mark.parametrize("solve, prefix", [(solve_E1, "E1"), (solve_E2, "E2")],
-                             ids=["E1", "E2"])
-    def test_residual_guard(self, solve, prefix, case_a_pair, monkeypatch):
+    def test_residual_guard(self, case_a_pair, monkeypatch):
         coeffs, eq, rep, ep = case_a_pair
         monkeypatch.setattr(normal_form, "LINEAR_RESIDUAL_TOL", -1.0)
-        with pytest.raises(ResidualCheckFailed, match=rf"^{prefix}: residual "):
-            solve(ep, eq, coeffs)
+        with pytest.raises(ResidualCheckFailed, match=r"^h20: residual "):
+            hopf_analysis(eq, coeffs, rep)
 
 
 class TestWFunctions:
-    def test_w20_satisfies_its_ode(self, case_a_pair):
+    """The Hassard oracle's center-manifold corrections."""
+
+    @pytest.fixture
+    def w_functions(self, case_a_pair):
+        coeffs, eq, rep, ep = case_a_pair
+        g20, g11, g02 = quadratic_g(ep, coeffs)
+        return ep, WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
+                              E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
+
+    def test_w20_satisfies_its_ode(self, w_functions):
         # on the interval the corrections obey
         # W20'(theta) = 2 i omega tau_k W20(theta) + g20 q(theta) + conj(g02) conj(q)(theta)
-        coeffs, eq, rep, ep = case_a_pair
-        g20, g11, g02 = _quadratic_g(ep, coeffs)
-        W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
-                       E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
+        ep, W = w_functions
         wt = ep.omega * ep.tau_k
         h = 1e-6
         for theta in (-0.8, -0.5, -0.2):
             deriv = (np.array(W.w20(theta + h)) - np.array(W.w20(theta - h))) / (2 * h)
             q = np.array(ep.q(theta))
-            rhs = 2j * wt * np.array(W.w20(theta)) + g20 * q + np.conj(g02) * np.conj(q)
+            rhs = 2j * wt * np.array(W.w20(theta)) + W.g20 * q + np.conj(W.g02) * np.conj(q)
             assert np.max(np.abs(deriv - rhs)) < 1e-6
 
-    def test_w11_satisfies_its_ode(self, case_a_pair):
-        coeffs, eq, rep, ep = case_a_pair
-        g20, g11, g02 = _quadratic_g(ep, coeffs)
-        W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
-                       E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
+    def test_w11_satisfies_its_ode(self, w_functions):
+        ep, W = w_functions
         h = 1e-6
         for theta in (-0.7, -0.3):
             deriv = (np.array(W.w11(theta + h)) - np.array(W.w11(theta - h))) / (2 * h)
             q = np.array(ep.q(theta))
-            rhs = g11 * q + np.conj(g11) * np.conj(q)
+            rhs = W.g11 * q + np.conj(W.g11) * np.conj(q)
             assert np.max(np.abs(deriv - rhs)) < 1e-6
 
-    def test_w_functions_are_real_valued_combinations(self, case_a_pair):
+    def test_w_functions_are_real_valued_combinations(self, w_functions):
         # W(theta) = z^2/2 W20 + z zbar W11 + ... must produce a real state
-        # perturbation; check W11 + conj(W11) is real and W20 pairs with
-        # conj at conjugate arguments
-        coeffs, eq, rep, ep = case_a_pair
-        g20, g11, g02 = _quadratic_g(ep, coeffs)
-        W = WFunctions(ep=ep, g20=g20, g11=g11, g02=g02,
-                       E1=solve_E1(ep, eq, coeffs), E2=solve_E2(ep, eq, coeffs))
+        # perturbation; check W11 + conj(W11) is real
+        ep, W = w_functions
         w11 = W.w11(-0.4)
         assert np.max(np.abs((w11 + np.conj(w11)).imag)) < 1e-12
 
@@ -307,42 +320,72 @@ class TestLyapunov:
         assert hopf.mu2_bar < 0
         assert hopf.beta2 == 2.0 * hopf.c1_0.real
         assert hopf.period_estimate == pytest.approx(8.874, abs=1e-3)
-        assert not hopf.extrapolated
 
     @pytest.mark.parametrize("case, ref", [("case_a", C1_REF), ("case_b", C1_REF_B)],
                              ids=["A", "B"])
     def test_c1_pinned(self, case, ref, request):
-        # full-precision values of the LAPACK-solve implementation
         _, coeffs, eq = request.getfixturevalue(case)
         c1 = hopf_analysis(eq, coeffs, analyze_spectrum(eq, coeffs)).c1_0
         assert abs(c1 - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("case", ["case_a", "case_b"], ids=["A", "B"])
+    def test_c1_matches_hassard_oracle(self, case, request):
+        _, coeffs, eq = request.getfixturevalue(case)
+        rep = analyze_spectrum(eq, coeffs)
+        c1 = hopf_analysis(eq, coeffs, rep).c1_0
+        ref = hassard_c1(eq, coeffs, rep.omega0, rep.tau0)
+        assert abs(c1 - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_c1_matches_hassard_oracle_on_samples(self, variant):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            _, coeffs, eq, c, h = sample_crossing_set(rng, variant)
+            rep = analyze_spectrum(eq, coeffs)
+            c1 = hopf_analysis(eq, coeffs, rep).c1_0
+            ref = hassard_c1(eq, coeffs, rep.omega0, rep.tau0)
+            assert abs(c1 - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("case", ["case_a", "case_b"], ids=["A", "B"])
+    def test_c1_matches_drift_oracle(self, case, request):
+        _, coeffs, eq = request.getfixturevalue(case)
+        rep = analyze_spectrum(eq, coeffs)
+        c1 = hopf_analysis(eq, coeffs, rep).c1_0
+        measured = drift_oracle(coeffs, eq, rep)
+        assert measured.real / c1.real == pytest.approx(1.0, abs=0.01)
+        assert measured.imag / c1.imag == pytest.approx(1.0, abs=0.01)
+
     def test_case_b_extrapolated_flag(self, case_b):
+        # variant B is checked against both oracles like A, so its report
+        # carries no extrapolation flag
         _, coeffs, eq = case_b
         rep = analyze_spectrum(eq, coeffs)
         hopf = hopf_analysis(eq, coeffs, rep)
-        assert hopf.extrapolated
-        assert hopf.direction in ("supercritical", "subcritical")
+        assert "extrapolated" not in hopf._fields
+        assert "extrapolated" not in hopf.to_dict()
+        assert hopf.direction == "subcritical"
 
     def test_degenerate_c1_inconclusive(self):
-        g = GCoefficients(g20=0.0, g11=0.0, g02=0.0, g21=0.0)
-        rep = lyapunov_quantities(g, omega=1.0, tau_k=1.0, re_lambda_prime=0.5)
-        assert rep.direction == "inconclusive"
-        assert rep.orbit_stability == "inconclusive"
+        for c1, scale in ((0j, 0.0), (1e-13 - 1.0j, 1.0)):
+            rep = lyapunov_quantities(c1, scale, omega=1.0, re_lambda_prime=0.5)
+            assert rep.direction == "inconclusive"
+            assert rep.orbit_stability == "inconclusive"
+        # only Re c1(0) sets the direction, however large Im c1(0) is
+        rep = lyapunov_quantities(1e-11 - 1.0j, 1.0, omega=1.0, re_lambda_prime=0.5)
+        assert rep.direction == "subcritical"
+        assert rep.orbit_stability == "unstable"
 
     def test_zero_transversality_guard(self):
-        g = GCoefficients(g20=0.1, g11=0.1, g02=0.1, g21=0.1)
         with pytest.raises(ZeroTransversality):
-            lyapunov_quantities(g, omega=1.0, tau_k=1.0, re_lambda_prime=0.0)
+            lyapunov_quantities(0.1 + 0.1j, 1.0, omega=1.0, re_lambda_prime=0.0)
 
     @pytest.mark.parametrize("variant, overrides, message", [
-        # alpha is near 8e307, so the E1 matrix's scale squares past the float range
+        # rho1 is near 8e307, so the h20 matrix's scale squares past the float range
         ("B", {"a2": 8.5e307}, "overflows or divides by zero"),
-        # tau0 = 0 exactly: w20 divides by omega0 * tau0
+        # tau0 = 0 exactly: c1(0) is reported in time rescaled by tau0
         ("A", {"nu1": 0.0, "n": 0.0, "gamma1": 0.0, "delta": 1e-19},
          "overflows or divides by zero"),
-        # alpha_star is infinite: g20, g11, g02, E1, E2 and c1(0) come out NaN
-        # without raising
+        # alpha is infinite: h20 and c1(0) come out NaN without raising
         ("A", {"nu2": 1e-29, "a2": 1e288, "delta": 1e-92}, r"c1\(0\) = \(nan"),
     ], ids=["overflow", "zero_delay", "nan"])
     def test_non_finite_reduction_is_typed(self, variant, overrides, message):
@@ -358,3 +401,35 @@ class TestLyapunov:
         doc = hopf_analysis(eq, coeffs, rep).to_dict()
         assert doc["direction"] == "subcritical"
         assert doc["c1_re"] == pytest.approx(C1_REF.real, abs=1e-4)
+        assert doc["c1_re"] == C1_REF.real and doc["c1_im"] == C1_REF.imag
+        assert list(doc) == ["c1_re", "c1_im", "mu2_bar", "beta2", "direction",
+                             "orbit_stability", "period_estimate"]
+
+
+class TestBautinPoint:
+    @pytest.mark.parametrize("a2, direction", [(0.5, "subcritical"),
+                                               (0.8, "supercritical")])
+    def test_drift_oracle_confirms_each_side(self, a2, direction):
+        coeffs, eq, rep, hopf = bautin_row(a2)
+        assert hopf.direction == direction
+        measured = drift_oracle(coeffs, eq, rep, a0=0.005)
+        assert measured.real / hopf.c1_0.real == pytest.approx(1.0, abs=0.01)
+
+    @settings(max_examples=25, deadline=None)
+    @given(lo=st.floats(0.5, 0.64), hi=st.floats(0.66, 0.8))
+    def test_sign_change_reads_inconclusive(self, lo, hi):
+        assert bautin_row(lo)[3].c1_0.real > 0 > bautin_row(hi)[3].c1_0.real
+        while True:
+            mid = 0.5 * (lo + hi)
+            coeffs, eq, rep, hopf = bautin_row(mid)
+            if hopf.direction == "inconclusive" or mid in (lo, hi):
+                break
+            if hopf.c1_0.real > 0:
+                lo = mid
+            else:
+                hi = mid
+        # at the bracket the verdict is inconclusive, or the time domain shows it
+        if hopf.direction != "inconclusive":
+            measured = drift_oracle(coeffs, eq, rep, a0=0.005)
+            assert (measured.real > 0) == (hopf.c1_0.real > 0)
+        assert mid == pytest.approx(0.65332677, abs=1e-8)

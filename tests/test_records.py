@@ -24,11 +24,8 @@ RECORD_FIELDS = {
                               "delay_independent", "omegas", "tau_ladders", "tau0",
                               "tau_next", "omega0", "z0", "transversality"),
     spectral.Verdict: ("kind", "tau", "interval", "report"),
-    normal_form.EigenPair: ("alpha", "alpha_star", "B", "omega", "tau_k"),
-    normal_form.GCoefficients: ("g20", "g11", "g02", "g21"),
-    normal_form.WFunctions: ("ep", "g20", "g11", "g02", "E1", "E2"),
     normal_form.HopfReport: ("c1_0", "mu2_bar", "beta2", "direction",
-                             "orbit_stability", "period_estimate", "extrapolated"),
+                             "orbit_stability", "period_estimate"),
     simulate.HistorySpec: ("beta", "lambda_"),
     simulate.Trajectory: ("times", "beta", "lambda_", "tau", "step", "overflow"),
 }
