@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import warnings
+from itertools import count
 from pathlib import Path
 
 from . import __version__
@@ -218,19 +219,21 @@ def cmd_sweep(args) -> int:
         except GoodwinDelayError as exc:
             return exc
 
-    with warnings.catch_warnings(record=True) as caught:
+    header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
+    warned = count()  # a tally, not a record, of the NotInteriorWarnings
+    with warnings.catch_warnings():  # the analysis raises no other warning
         warnings.simplefilter("always", NotInteriorWarning)
+        warnings.showwarning = lambda *_: next(warned)
         if tau_axis:  # only the verdict depends on tau: analyze and format once
             row = _sweep_row(analysis_at(None), args.with_hopf)
-            lines = [row(tau, tau) for tau in values]
+            lines = (row(tau, tau) for tau in values)
         else:
-            lines = [_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau) for v in values]
-    # one stderr line instead of a warning per row (the analysis raises no
-    # other warning); a tau sweep's rows share one equilibrium
-    outside = len(caught) * (len(values) if tau_axis else 1)
-    header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
-    _write_csv(out / "sweep.csv", header, lines)
-    print(f"wrote {len(lines)} rows to {out / 'sweep.csv'}")
+            lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau) for v in values)
+        _write_csv(out / "sweep.csv", header, lines)  # each row as it is formatted
+    # one stderr line instead of a warning per row; a tau sweep's rows share
+    # one equilibrium
+    outside = next(warned) * (len(values) if tau_axis else 1)
+    print(f"wrote {len(values)} rows to {out / 'sweep.csv'}")
     if outside:
         print(f"{outside} rows have an equilibrium outside (0,1)^2", file=sys.stderr)
     return EXIT_OK

@@ -10,11 +10,13 @@ At tau = 0, m = 0 and rho1 joins the instantaneous coupling.
 X holds beta at t = (k - m) h for k = 0..m+n, the first m+1 entries being
 the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
 [X[k], X[k+1]], stored with X[k+1].  Step i reads X[i], M[i], X[i+1].
+X, M and L (lambda) are preallocated ``array('d')`` buffers, and X and L
+are trimmed in place into the trajectory's columns.
 
-The module needs only the standard library: a trajectory's columns are
-``array('d')``, and the envelope, classification and period diagnostics
-work on them in plain floats, with every mean summed in numpy's pairwise
-order so that the figures keep the bits they had when numpy computed them.
+The module needs only the standard library: the envelope, classification
+and period diagnostics work on the columns in plain floats, with every mean
+summed in numpy's pairwise order so that the figures keep the bits they had
+when numpy computed them.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .model import SubsystemCoefficients
 from .spectral import check_delay
 
 OVERFLOW_LIMIT = 1e6
-# Cap on the grid slots m + n of one run: at about 120 bytes per slot at
-# the peak (three lists of 32-byte floats, then three 8-byte array('d')
-# columns), near 600 MB.
+# Cap on the grid slots m + n of one run: at about 24 bytes per slot at
+# the peak (the X, M and L buffers of 8-byte doubles), near 120 MB.
 MAX_STEPS = 5_000_000
 
 
@@ -97,20 +98,21 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     # lambda-equation coupling to beta(t) and to beta(t - tau)
     gl, r1 = (gc, coeffs.rho1) if m else (gc + coeffs.rho1, 0.0)
     b, lam = history.beta, history.lambda_
-    X = [b] * (m + n + 1)
-    M = [b] * (m + n)
-    L = [lam] * (n + 1)
+    X = array("d", (b,)) * (m + n + 1)
+    M = array("d", (b,)) * (m + n)
+    L = array("d", (lam,)) * (n + 1)
     db = (b0 + gc * b - d0 * lam) * b  # beta derivative, for Hermite midpoints
 
     overflow = False
     limit = OVERFLOW_LIMIT
     h2, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
     last = n
-    # db is also each step's k1 for beta; r1 * X[i + 1] is the next step's
-    # delayed term at its left end
-    rd1 = r1 * X[0]
+    # delayed terms come through iterators, as fast as list indexing (array
+    # indexing is not specialised); db is also each step's k1 for beta
+    nodes, mids = iter(X), iter(M)
+    rd1 = r1 * next(nodes)
     for i in range(n):
-        rd0, rdm, rd1 = rd1, r1 * M[i], r1 * X[i + 1]
+        rd0, rdm, rd1 = rd1, r1 * next(mids), r1 * next(nodes)
         k1l = (lam0 - wd * lam + gl * b + rd0) * lam
         b2, l2 = b + h2 * db, lam + h2 * k1l
         k2b = (b0 + gc * b2 - d0 * l2) * b2
@@ -133,11 +135,11 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
             last = i + 1 if math.isfinite(b) and math.isfinite(lam) else i
             break
 
-    beta, lambda_ = array("d", X[m:m + last + 1]), array("d", L[:last + 1])
-    del X, M, L  # the times reuse the lists' memory
+    del M, mids, nodes  # free the midpoints; X and L become the columns in place
+    del X[m + last + 1:], X[:m], L[last + 1:]
     # k * h has the bits of numpy's arange(n) * h
-    times = array("d", [k * h for k in range(last + 1)])
-    return Trajectory(times=times, beta=beta, lambda_=lambda_,
+    times = array("d", map(h.__rmul__, range(last + 1)))
+    return Trajectory(times=times, beta=X, lambda_=L,
                       tau=tau, step=h, overflow=overflow)
 
 
@@ -219,13 +221,16 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
 def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     """Mean spacing of alternate mean-crossings of beta in the tail."""
     start = int(len(traj.times) * (1.0 - tail_fraction))
-    t, beta = traj.times[start:], traj.beta[start:]
-    mean = _sum(beta) / len(beta) if len(beta) else 0.0
-    x = [b - mean for b in beta]
-    idx = [i for i, (x0, x1) in enumerate(zip(x, x[1:])) if x0 * x1 < 0]
-    if len(idx) < 3:
-        raise NoOscillation(f"{len(idx)} mean-crossings in the tail, need >= 3")
-    # linear interpolation of each crossing time
-    crossings = [t[i] + x[i] / (x[i] - x[i + 1]) * (t[i + 1] - t[i]) for i in idx]
+    t, tail = traj.times, traj.beta[start:]
+    mean = _sum(tail) / len(tail) if len(tail) else 0.0
+    # a loop over the deviations: as fast as a list of them, in O(1) memory
+    crossings, x = [], map(mean.__rsub__, tail)
+    x0 = next(x, 0.0)
+    for i, x1 in enumerate(x, start):
+        if x0 * x1 < 0:  # linear interpolation of the crossing time
+            crossings.append(t[i] + x0 / (x0 - x1) * (t[i + 1] - t[i]))
+        x0 = x1
+    if len(crossings) < 3:
+        raise NoOscillation(f"{len(crossings)} mean-crossings in the tail, need >= 3")
     gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
     return _sum(gaps) / len(gaps)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,58 @@ def test_sweep_bytes_are_pinned(name, config_a, config_b, tmp_path):
     assert main(["sweep", "--config", config, *args, "--out", str(tmp_path)]) == 0
     data = (tmp_path / "sweep.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# sha256 of simulate's trajectory.csv, run.json and stdout on case A
+PINNED_SIMULATIONS = {
+    "A_tau0.05": (["--tau", "0.05", "--t-end", "500", "--init", "0.95,0.74"], (
+        "d5bca890b20937d3ab7143c25a36073b8b6ec0b8970b4774eefd80d79551696c",
+        "b32db1132931811719850e14a8b6eeba5a146e65cb133105ada22164c5430f9c",
+        "f49937427157227d7411d77feb738efa07e907bd6d333f52f212b23362207840")),
+    # overflows and is truncated, but long enough to classify
+    "A_overflow": (["--tau", "0.05", "--t-end", "500", "--init", "50,0"], (
+        "11338017d34bd8e7a9093a3970a7f3859b26d071b02d6ddcbc646e31a7854c60",
+        "97f6b3625fdf1e265bb26f5dccc11dfadb1d11763d549f1d52d92e0eb4c7ec22",
+        "33ba7f7980594265c833afa4da44fb3adb7ccb0c228e2d4cd4a0fb1e76fba94f")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIMULATIONS))
+def test_simulate_bytes_are_pinned(name, config_a, tmp_path, capsys):
+    args, digests = PINNED_SIMULATIONS[name]
+    assert main(["simulate", "--config", config_a, *args, "--out", str(tmp_path)]) == 0
+    data = [(tmp_path / "trajectory.csv").read_bytes(), (tmp_path / "run.json").read_bytes(),
+            capsys.readouterr().out.encode()]
+    assert tuple(hashlib.sha256(d).hexdigest() for d in data) == digests
+
+
+@pytest.mark.parametrize("args, small, large", [
+    (["--param", "tau", "--start", "0", "--stop", "0.1", "--with-hopf"], 2_000, 20_000),
+    (["--param", "delta", "--start", "3.5", "--stop", "5", "--tau", "0.03",
+      "--with-hopf"], 200, 2_000),
+    # most rows lie outside (0,1)^2, and each warns
+    (["--param", "gamma1", "--start", "0", "--stop", "0.6", "--tau", "0.03"], 200, 2_000),
+], ids=["tau", "delta", "gamma1"])
+def test_sweep_memory_does_not_grow_with_rows(args, small, large, config_a, tmp_path,
+                                              capsys):
+    # rows are written as they are formatted: only the value grid, 32 B a row,
+    # grows with the count
+    def sweep(count):
+        assert main(["sweep", "--config", config_a, *args, "--count", str(count),
+                     "--out", str(tmp_path)]) == 0
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            sweep(count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the first run of a size leaves memory behind that later runs reuse (the
+    # interpreter's allocator and free lists): an untraced run leaves it first
+    sweep(large)
+    assert peak(large) - peak(small) <= 48 * (large - small)
 
 
 def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from array import array
 from functools import reduce
 from operator import add
@@ -288,6 +289,37 @@ def test_sum_follows_numpy_pairwise_order(n):
         assert reduce(add, values.tolist()) != want
     zeros = np.full(n, -0.0)
     assert repr(simulate_module._sum(array("d", zeros))) == repr(float(np.add.reduce(zeros)))
+
+
+def _peak_bytes(fn, *args):
+    """(FN(*ARGS), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("tau, t_end, overflow", [
+    (0.02, 12.5, False), (0.0, 50.0, False), (0.05, 31.25, True)])
+def test_simulate_peak_memory_per_grid_slot(tau, t_end, overflow, case_a):
+    # three array('d') buffers of 8 bytes a slot, and nothing per step besides
+    _, coeffs, eq = case_a
+    hist = HistorySpec(beta=50.0, lambda_=0.0) if overflow else perturbed_history(eq)
+    traj, peak = _peak_bytes(simulate, coeffs, tau, hist, t_end)
+    assert traj.overflow == overflow
+    slots = round((tau + t_end) / traj.step)  # the history's m and the run's n
+    assert slots >= 5_000
+    assert peak <= 32 * slots
+
+
+def test_oscillation_period_peak_memory_per_row(case_a):
+    # the copies of the tail that the mean sums are its only per-item memory
+    _, coeffs, eq = case_a
+    traj = simulate(coeffs, 0.05, perturbed_history(eq), 500.0)
+    period, peak = _peak_bytes(oscillation_period, traj)
+    assert period > 0
+    assert peak <= 16 * len(traj.times)
 
 
 def _outcome(fn, *args):
