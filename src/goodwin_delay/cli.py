@@ -193,6 +193,15 @@ def _sweep_row(analysis, with_hopf: bool):
     return lambda value, tau: f"{value!r}{head}{verdict_at(report, tau).kind}{tail}"
 
 
+def _grid(args):
+    """The sweep values start + i * step, generated anew on each call so that
+    no pass holds the grid; a one-point grid is start itself, -0.0 included."""
+    if args.count == 1:
+        return (args.start,)
+    step = (args.stop - args.start) / (args.count - 1)
+    return (args.start + i * step for i in range(args.count))
+
+
 def cmd_sweep(args) -> int:
     p = _load_params(args)  # config-grade errors surface before the sweep
     if args.param != "tau" and args.param not in PARAM_FIELDS:
@@ -202,13 +211,8 @@ def cmd_sweep(args) -> int:
                                   f"1 <= count <= {MAX_SWEEP_POINTS}")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ConstraintViolation("range", (args.start, args.stop), "finite range")
-    if args.count == 1:
-        values = [args.start]
-    else:
-        step = (args.stop - args.start) / (args.count - 1)
-        values = [args.start + i * step for i in range(args.count)]
     tau_axis = args.param == "tau"
-    _check_probe(args.jmax, values if tau_axis else [args.tau])
+    _check_probe(args.jmax, _grid(args) if tau_axis else [args.tau])
     out = _outdir(args)
 
     def analysis_at(value):
@@ -226,14 +230,15 @@ def cmd_sweep(args) -> int:
         warnings.showwarning = lambda *_: next(warned)
         if tau_axis:  # only the verdict depends on tau: analyze and format once
             row = _sweep_row(analysis_at(None), args.with_hopf)
-            lines = (row(tau, tau) for tau in values)
+            lines = (row(tau, tau) for tau in _grid(args))
         else:
-            lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau) for v in values)
+            lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau)
+                     for v in _grid(args))
         _write_csv(out / "sweep.csv", header, lines)  # each row as it is formatted
     # one stderr line instead of a warning per row; a tau sweep's rows share
     # one equilibrium
-    outside = next(warned) * (len(values) if tau_axis else 1)
-    print(f"wrote {len(values)} rows to {out / 'sweep.csv'}")
+    outside = next(warned) * (args.count if tau_axis else 1)
+    print(f"wrote {args.count} rows to {out / 'sweep.csv'}")
     if outside:
         print(f"{outside} rows have an equilibrium outside (0,1)^2", file=sys.stderr)
     return EXIT_OK

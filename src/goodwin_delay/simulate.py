@@ -14,17 +14,15 @@ X, M and L (lambda) are preallocated ``array('d')`` buffers, and X and L
 are trimmed in place into the trajectory's columns.
 
 The module needs only the standard library: the envelope, classification
-and period diagnostics work on the columns in plain floats, with every mean
-summed in numpy's pairwise order so that the figures keep the bits they had
-when numpy computed them.
+and period diagnostics work on the columns in plain floats, and every mean
+is the correctly rounded sum math.fsum (Shewchuk, Discrete Comput. Geom.
+18, 1997) divided by the item count.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from functools import reduce
-from operator import add
 from typing import NamedTuple
 
 from .errors import (GridTooLarge, InvalidInput, NoOscillation, StepTooLarge,
@@ -143,24 +141,6 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
                       tau=tau, step=h, overflow=overflow)
 
 
-def _sum(x) -> float:
-    """Sum of the floats X in numpy's pairwise order, so that a mean has the
-    bits of np.mean: blocks of at most 128 items are summed in 8 strided
-    partial sums, longer runs split near the middle on a multiple of 8.
-    The builtin sum() rounds differently (it compensates from Python 3.12)."""
-    n = len(x)
-    if n < 8:
-        return reduce(add, x, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        # numpy adds the total to its identity 0.0, which turns -0.0 into 0.0
-        return 0.0 + (_sum(x[:half]) + _sum(x[half:]))
-    cut = n - n % 8
-    r = [reduce(add, x[j:cut:8]) for j in range(8)]
-    head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return 0.0 + reduce(add, x[cut:], head)
-
-
 def _windows(traj: Trajectory, window: float) -> tuple[int, int]:
     """(grid steps per window, whole windows in TRAJ) for WINDOW."""
     steps = int(round(window / traj.step))
@@ -188,7 +168,7 @@ def amplitude_envelope(traj: Trajectory, window: float):
     the whole windows of WINDOW; a center is the mean of its window's times.
     """
     steps, nwin = _windows(traj, window)
-    centers = [_sum(traj.times[k:k + steps]) / steps
+    centers = [math.fsum(traj.times[k:k + steps]) / steps
                for k in range(0, nwin * steps, steps)]
     return (centers, _peak_to_peak(traj.beta, steps, 0, nwin),
             _peak_to_peak(traj.lambda_, steps, 0, nwin))
@@ -210,7 +190,7 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
         raise WindowTooShort("too few windows after transient skip")
     tiny = 1e-300
     ratios = [math.log((a1 + tiny) / (a0 + tiny)) for a0, a1 in zip(amp, amp[1:])]
-    mean = _sum(ratios) / len(ratios)
+    mean = math.fsum(ratios) / len(ratios)
     if mean > math.log1p(drift_tol):
         return "growing"
     if mean < math.log1p(-drift_tol):
@@ -222,7 +202,7 @@ def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     """Mean spacing of alternate mean-crossings of beta in the tail."""
     start = int(len(traj.times) * (1.0 - tail_fraction))
     t, tail = traj.times, traj.beta[start:]
-    mean = _sum(tail) / len(tail) if len(tail) else 0.0
+    mean = math.fsum(tail) / len(tail) if len(tail) else 0.0
     # a loop over the deviations: as fast as a list of them, in O(1) memory
     crossings, x = [], map(mean.__rsub__, tail)
     x0 = next(x, 0.0)
@@ -233,4 +213,4 @@ def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     if len(crossings) < 3:
         raise NoOscillation(f"{len(crossings)} mean-crossings in the tail, need >= 3")
     gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
-    return _sum(gaps) / len(gaps)
+    return math.fsum(gaps) / len(gaps)

@@ -11,6 +11,7 @@ the amplitude drift of a simulated run.
 import cmath
 import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -383,9 +384,22 @@ def rk4_ode_reference(coeffs, beta, lambda_, h, n):
 
 # ------------------------------------------- trajectory diagnostics
 
-# The envelope, classification and period diagnostics as numpy computes
-# them: the library's standard-library versions must give the same labels,
-# the same period bits and the same envelopes.
+# The envelope, classification and period diagnostics with exact means: each
+# sum is taken in rational arithmetic and rounded once, then divided by the
+# item count; peak-to-peak values and crossings are computed in numpy.  The
+# library's standard-library versions must give the same labels, the same
+# period bits and the same envelopes.
+
+def exact_mean(x) -> float:
+    """The exact sum of the floats X, rounded once, divided by len(X).
+
+    Each float is n / 2**k, so the sum is an integer over the largest 2**k;
+    the same value as float(sum(map(Fraction, x))), several times faster."""
+    pairs = [v.as_integer_ratio() for v in x]
+    shift = max(d for _, d in pairs).bit_length() - 1
+    total = sum(n << (shift - d.bit_length() + 1) for n, d in pairs)
+    return float(Fraction(total, 1 << shift)) / len(pairs)
+
 
 def np_amplitude_envelope(traj, window):
     """(window centers, beta peak-to-peak, lambda peak-to-peak) per whole window."""
@@ -396,7 +410,8 @@ def np_amplitude_envelope(traj, window):
     cut = nwin * steps
     times, beta, lambda_ = (np.asarray(c)[:cut].reshape(nwin, steps)
                             for c in (traj.times, traj.beta, traj.lambda_))
-    return times.mean(axis=1), np.ptp(beta, axis=1), np.ptp(lambda_, axis=1)
+    centers = np.array([exact_mean(row.tolist()) for row in times])
+    return centers, np.ptp(beta, axis=1), np.ptp(lambda_, axis=1)
 
 
 def np_classify_dynamics(traj, drift_tol=0.02, skip_fraction=0.2):
@@ -405,7 +420,7 @@ def np_classify_dynamics(traj, drift_tol=0.02, skip_fraction=0.2):
     amp = amp[int(len(amp) * skip_fraction):]
     if len(amp) < 2:
         raise ValueError("too few windows after the transient skip")
-    mean = float(np.mean(np.log((amp[1:] + 1e-300) / (amp[:-1] + 1e-300))))
+    mean = exact_mean(np.log((amp[1:] + 1e-300) / (amp[:-1] + 1e-300)).tolist())
     if mean > math.log1p(drift_tol):
         return "growing"
     if mean < math.log1p(-drift_tol):
@@ -418,12 +433,12 @@ def np_oscillation_period(traj, tail_fraction=0.5):
     start = int(len(traj.times) * (1.0 - tail_fraction))
     t = np.asarray(traj.times)[start:]
     beta = np.asarray(traj.beta)[start:]
-    x = beta - float(np.mean(beta))
+    x = beta - exact_mean(beta.tolist())
     idx = np.nonzero(x[:-1] * x[1:] < 0)[0]
     if len(idx) < 3:
         raise ValueError(f"{len(idx)} mean-crossings in the tail")
     crossings = t[idx] + x[idx] / (x[idx] - x[idx + 1]) * (t[idx + 1] - t[idx])
-    return float(np.mean(crossings[2:] - crossings[:-2]))
+    return exact_mean((crossings[2:] - crossings[:-2]).tolist())
 
 
 # ---------------------------------------------------------- sampling

@@ -380,12 +380,17 @@ class TestSweep:
             r.pop("tau")
             assert set(r.values()) == {""}
 
-    def test_negative_tau_exits_1_before_rows(self, config_psi, tmp_path):
-        out = tmp_path / "sw"
-        assert main(["sweep", "--config", config_psi, "--variant", "B",
-                     "--param", "tau", "--start", "-0.01", "--stop", "0.04",
-                     "--count", "5", "--out", str(out)]) == 1
-        assert not (out / "sweep.csv").exists()
+    def test_negative_tau_exits_1_before_rows(self, config_psi, tmp_path, capsys):
+        # a rising grid that starts below zero, and a falling one that ends there
+        for start, stop, count, bad in (("-0.01", "0.04", "5", "-0.01"),
+                                        ("0.04", "-0.01", "6", "-0.010000000000000002")):
+            out = tmp_path / f"sw{start}"
+            assert main(["sweep", "--config", config_psi, "--variant", "B",
+                         "--param", "tau", "--start", start, "--stop", stop,
+                         "--count", count, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"config error: tau must be finite and nonnegative, got {bad}\n")
+            assert not (out / "sweep.csv").exists()
 
     def test_non_finite_fixed_tau_exits_1(self, config_a, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -456,8 +461,9 @@ def test_simulate_bytes_are_pinned(name, config_a, tmp_path, capsys):
 ], ids=["tau", "delta", "gamma1"])
 def test_sweep_memory_does_not_grow_with_rows(args, small, large, config_a, tmp_path,
                                               capsys):
-    # rows are written as they are formatted: only the value grid, 32 B a row,
-    # grows with the count
+    # rows are written as they are formatted and the value grid is generated,
+    # not held: nothing grows with the count (measured within +-6 B a row,
+    # which is allocator noise; a list of the values would take 32 B a row)
     def sweep(count):
         assert main(["sweep", "--config", config_a, *args, "--count", str(count),
                      "--out", str(tmp_path)]) == 0
@@ -473,7 +479,7 @@ def test_sweep_memory_does_not_grow_with_rows(args, small, large, config_a, tmp_
     # the first run of a size leaves memory behind that later runs reuse (the
     # interpreter's allocator and free lists): an untraced run leaves it first
     sweep(large)
-    assert peak(large) - peak(small) <= 48 * (large - small)
+    assert peak(large) - peak(small) <= 16 * (large - small)
 
 
 def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):

@@ -1,9 +1,9 @@
 import hashlib
 import math
+import struct
 import tracemalloc
 from array import array
-from functools import reduce
-from operator import add
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +22,8 @@ from goodwin_delay.simulate import (
 )
 from goodwin_delay.spectral import analyze_spectrum
 
-from helpers import (np_amplitude_envelope, np_classify_dynamics, np_oscillation_period,
-                     rk4_ode_reference)
+from helpers import (exact_mean, np_amplitude_envelope, np_classify_dynamics,
+                     np_oscillation_period, rk4_ode_reference)
 
 TAU0_A = 0.03484884438749684
 OMEGA0_A = 0.7080560034974415
@@ -278,17 +278,81 @@ class TestDiagnostics:
             oscillation_period(traj)
 
 
-@pytest.mark.parametrize("n", [*range(10), *range(127, 131), 8191, 8192, 8193, 100_003])
-def test_sum_follows_numpy_pairwise_order(n):
-    # magnitudes over 16 decades, so that another summation order changes the bits
+def _least_float(pred, lo: float, hi: float) -> float:
+    """The least float in (LO, HI] for which PRED holds; PRED is monotone and
+    holds at HI.  Bisects the bit patterns, which order non-negative floats."""
+    bits = lambda v: struct.unpack("<q", struct.pack("<d", v))[0]
+    lo_b, hi_b = bits(lo), bits(hi)
+    while hi_b - lo_b > 1:
+        mid = (lo_b + hi_b) // 2
+        if pred(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            hi_b = mid
+        else:
+            lo_b = mid
+    return struct.unpack("<d", struct.pack("<q", hi_b))[0]
+
+
+# each mean of a diagnostic is the exact sum, rounded once, divided by n
+EXACT_MEAN_SIZES = [*range(5, 10), *range(127, 131), 8191, 8192, 8193, 100_003]
+
+
+def _decades(n):
+    """N floats with magnitudes over 16 decades, so that a sum that is not
+    exact changes the bits."""
     rng = np.random.default_rng(n)
-    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-    want = float(np.add.reduce(values))
-    assert repr(simulate_module._sum(array("d", values))) == repr(want)
-    if n == 100_003:
-        assert reduce(add, values.tolist()) != want
-    zeros = np.full(n, -0.0)
-    assert repr(simulate_module._sum(array("d", zeros))) == repr(float(np.add.reduce(zeros)))
+    return (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+
+
+@pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
+def test_envelope_centre_is_exact_mean(n):
+    # one window over all of the values as times: its center is their mean
+    values, zeros = _decades(n), array("d", bytes(8 * n))
+    assert exact_mean(values) == float(sum(map(Fraction, values))) / n
+    traj = Trajectory(times=array("d", values), beta=zeros, lambda_=zeros,
+                      tau=0.0, step=1.0)
+    assert amplitude_envelope(traj, float(n))[0] == [exact_mean(values)]
+
+
+@pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
+def test_period_is_exact_mean(n):
+    # the values as both times and beta: the tail mean sets the crossings,
+    # and the period is the mean of the gaps between alternate ones
+    values = _decades(n)
+    v = array("d", values)
+    traj = Trajectory(times=v, beta=v, lambda_=v, tau=0.0, step=1.0)
+    mean = exact_mean(values)
+    x = [b - mean for b in values]
+    crossings = [values[i] + x[i] / (x[i] - x[i + 1]) * (values[i + 1] - values[i])
+                 for i in range(n - 1) if x[i] * x[i + 1] < 0]
+    gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
+    if gaps:
+        assert repr(oscillation_period(traj, tail_fraction=1.0)) == repr(exact_mean(gaps))
+    else:
+        with pytest.raises(NoOscillation):
+            oscillation_period(traj, tail_fraction=1.0)
+
+
+@pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
+def test_classification_turns_at_exact_mean(n):
+    # windows of 5 steps with peak-to-peak |value|, and the first again at
+    # the end: the log drifts close a loop, so their exact sum is only their
+    # rounding errors, and the label must turn where its mean meets the
+    # tolerance's threshold
+    amp = [abs(a) for a in _decades(n)]
+    amp.append(amp[0])
+    beta = array("d", [c for a in amp for c in (0.0, a, 0.0, 0.0, 0.0)])
+    traj = Trajectory(times=array("d", range(len(beta))), beta=beta, lambda_=beta,
+                      tau=0.0, step=1.0)
+    mean = exact_mean([math.log((a1 + 1e-300) / (a0 + 1e-300))
+                        for a0, a1 in zip(amp, amp[1:])])
+    if mean > 0:  # 'growing' iff the mean exceeds log1p(tol)
+        label, threshold, top = "growing", math.log1p, math.inf
+    else:  # 'decaying' iff the mean falls below log1p(-tol)
+        label, threshold, top = "decaying", lambda tol: -math.log1p(-tol), 1.0
+    tol = _least_float(lambda tol: threshold(tol) >= abs(mean), 0.0, top)
+    assert threshold(tol) >= abs(mean) > threshold(math.nextafter(tol, 0.0))
+    assert classify_dynamics(traj, 5.0, math.nextafter(tol, 0.0), 0.0) == label
+    assert classify_dynamics(traj, 5.0, tol, 0.0) != label
 
 
 def _peak_bytes(fn, *args):
@@ -314,7 +378,7 @@ def test_simulate_peak_memory_per_grid_slot(tau, t_end, overflow, case_a):
 
 
 def test_oscillation_period_peak_memory_per_row(case_a):
-    # the copies of the tail that the mean sums are its only per-item memory
+    # the copy of the tail that the mean sums is its only per-item memory
     _, coeffs, eq = case_a
     traj = simulate(coeffs, 0.05, perturbed_history(eq), 500.0)
     period, peak = _peak_bytes(oscillation_period, traj)
