@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 configuration error, 2 analysis-precondition
 failure, 3 simulation failure; each error class carries its own
-(errors.py).  All emitted files use shortest
-round-trip float formatting, so identical configs produce byte-identical
-outputs.
+(errors.py).  This module alone renders output, from the library's records,
+with shortest round-trip float formatting, so identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import sys
 import warnings
 from itertools import count
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +32,9 @@ EXIT_OK = 0  # a failure exits with its error class's exit_code
 MAX_SWEEP_POINTS = 1_000_000
 SWEEP_COLUMNS = ["beta_e", "lambda_e", "p0", "r0", "q0", "h_case", "tau0", "verdict"]
 HOPF_COLUMNS = ["c1_re", "c1_im", "mu2_bar", "beta2", "direction", "orbit_stability"]
+# the HOPF_COLUMNS values of a HopfReport, in order
+_hopf_values = attrgetter("c1_0.real", "c1_0.imag", "mu2_bar", "beta2", "direction",
+                          "orbit_stability")
 
 
 def _fmt(v) -> str:
@@ -70,19 +74,6 @@ def _check_probe(jmax: int, taus) -> None:
         check_delay(tau)
 
 
-def _warn_plainly(fn, *args):
-    """FN(*ARGS), with each warning it raises (the analysis raises only
-    NotInteriorWarning) printed as one 'warning: ...' line on stderr, without
-    the source path and line that the warnings module would add."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NotInteriorWarning)
-        try:
-            return fn(*args)
-        finally:
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-
-
 def _analysis(p, variant: str, j_max: int, with_hopf: bool):
     """Coefficients -> equilibrium -> spectrum (-> Hopf report), each once."""
     coeffs = subsystem_coefficients(p, variant)
@@ -97,9 +88,24 @@ def cmd_analyze(args) -> int:
     p = _load_params(args)
     _check_probe(args.jmax, [args.tau])
     out = _outdir(args)
-    eq, report, hopf = _warn_plainly(_analysis, p, args.variant, args.jmax, True)
+    eq, report, hopf = _analysis(p, args.variant, args.jmax, True)
     verdict = verdict_at(report, args.tau)
-    doc = {
+    c, tv = report.coefficients, report.transversality
+    spectral = {
+        "p0": c.p0, "r0": c.r0, "q0": c.q0,
+        "h_case": report.h_case.tag,
+        "omega": list(report.omegas),
+        "tau_ladder": [list(l) for l in report.tau_ladders],
+        "tau0": report.tau0, "omega0": report.omega0, "z0": report.z0,
+        "h_prime_z0": tv.h_prime_z0 if tv else None,
+        "re_lambda_prime": tv.re_lambda_prime if tv else None,
+        "stable_at_zero": report.stable_at_zero,
+        "delay_independent": report.delay_independent,
+    }
+    if report.h_case.note:
+        spectral["h_case_note"] = report.h_case.note
+    spectral["verdict"] = verdict.kind
+    _write_json(out / "analysis.json", {
         "engine_version": __version__,
         "variant": args.variant,
         "tau": args.tau,
@@ -109,11 +115,11 @@ def cmd_analyze(args) -> int:
             "beta_e": eq.beta_e, "lambda_e": eq.lambda_e,
             "interior": eq.interior, "lambda_star": eq.lambda_star,
         },
-        "spectral": report.to_dict(verdict=verdict.kind),
+        "spectral": spectral,
         "instability_interval": list(verdict.interval) if verdict.interval else None,
-        "hopf": hopf.to_dict() if hopf else None,
-    }
-    _write_json(out / "analysis.json", doc)
+        "hopf": (dict(zip(HOPF_COLUMNS, _hopf_values(hopf)),
+                      period_estimate=hopf.period_estimate) if hopf else None),
+    })
     print(f"equilibrium: beta_e={_fmt(eq.beta_e)} lambda_e={_fmt(eq.lambda_e)}"
           f" interior={eq.interior}")
     print(f"h_case: {report.h_case.tag}  stable_at_zero: {report.stable_at_zero}")
@@ -133,7 +139,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     p = _load_params(args)
     coeffs = subsystem_coefficients(p, args.variant)
-    eq = _warn_plainly(equilibrium, coeffs, p)
+    eq = equilibrium(coeffs, p)
     if args.init is not None:
         b0, l0 = (float(x) for x in args.init.split(","))
     else:
@@ -186,9 +192,7 @@ def _sweep_row(analysis, with_hopf: bool):
     head = (f",{eq.beta_e!r},{eq.lambda_e!r},{c.p0!r},{c.r0!r},{c.q0!r}"
             f",{report.h_case.tag},{_fmt(report.tau0)},")
     if hopf is not None:
-        c1 = hopf.c1_0
-        hopf_cells = (f",{c1.real!r},{c1.imag!r},{hopf.mu2_bar!r},{hopf.beta2!r}"
-                      f",{hopf.direction},{hopf.orbit_stability}")
+        hopf_cells = "," + ",".join(map(_fmt, _hopf_values(hopf)))
     tail = hopf_cells + ",\n"
     return lambda value, tau: f"{value!r}{head}{verdict_at(report, tau).kind}{tail}"
 
@@ -224,17 +228,15 @@ def cmd_sweep(args) -> int:
             return exc
 
     header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
-    warned = count()  # a tally, not a record, of the NotInteriorWarnings
-    with warnings.catch_warnings():  # the analysis raises no other warning
-        warnings.simplefilter("always", NotInteriorWarning)
-        warnings.showwarning = lambda *_: next(warned)
-        if tau_axis:  # only the verdict depends on tau: analyze and format once
-            row = _sweep_row(analysis_at(None), args.with_hopf)
-            lines = (row(tau, tau) for tau in _grid(args))
-        else:
-            lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau)
-                     for v in _grid(args))
-        _write_csv(out / "sweep.csv", header, lines)  # each row as it is formatted
+    warned = count()  # a tally of the NotInteriorWarnings in place of main's lines
+    warnings.showwarning = lambda *_: next(warned)
+    if tau_axis:  # only the verdict depends on tau: analyze and format once
+        row = _sweep_row(analysis_at(None), args.with_hopf)
+        lines = (row(tau, tau) for tau in _grid(args))
+    else:
+        lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau)
+                 for v in _grid(args))
+    _write_csv(out / "sweep.csv", header, lines)  # each row as it is formatted
     # one stderr line instead of a warning per row; a tau sweep's rows share
     # one equilibrium
     outside = next(warned) * (args.count if tau_axis else 1)
@@ -295,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # each warning (the analysis raises only NotInteriorWarning): one line, no path
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", NotInteriorWarning)
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.func(args)
     except GoodwinDelayError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return exc.exit_code

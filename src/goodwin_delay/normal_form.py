@@ -52,17 +52,6 @@ class HopfReport(NamedTuple):
     orbit_stability: str  # stable | unstable | inconclusive
     period_estimate: float  # 2*pi/omega, original time units
 
-    def to_dict(self) -> dict:
-        return {
-            "c1_re": self.c1_0.real,
-            "c1_im": self.c1_0.imag,
-            "mu2_bar": self.mu2_bar,
-            "beta2": self.beta2,
-            "direction": self.direction,
-            "orbit_stability": self.orbit_stability,
-            "period_estimate": self.period_estimate,
-        }
-
 
 def _check_solve(m00, m01, m10, m11, r0, r1, what: str) -> tuple:
     """Solve [[m00, m01], [m10, m11]] x = (r0, r1) in closed form, guarded

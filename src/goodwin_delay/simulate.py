@@ -141,8 +141,21 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
                       tau=tau, step=h, overflow=overflow)
 
 
-def _windows(traj: Trajectory, window: float) -> tuple[int, int]:
-    """(grid steps per window, whole windows in TRAJ) for WINDOW."""
+def _mean(x) -> float:
+    """math.fsum(X) / len(X), with an overflow of the sum typed."""
+    try:
+        return math.fsum(x) / len(x)
+    except OverflowError:
+        raise InvalidInput("the mean of a diagnostic overflows") from None
+
+
+def _windows(traj: Trajectory, window: float | None) -> tuple[int, int]:
+    """(grid steps per window, whole windows in TRAJ) for WINDOW, by default
+    a tenth of the run (0.0, too short, for a run of one row)."""
+    if window is None:
+        window = (traj.times[-1] - traj.times[0]) / 10.0
+    elif not (math.isfinite(window) and window > 0):
+        raise InvalidInput(f"window must be finite and positive, got {window!r}")
     steps = int(round(window / traj.step))
     if steps < 5:
         raise WindowTooShort(f"window {window} spans {steps} < 5 steps")
@@ -168,8 +181,7 @@ def amplitude_envelope(traj: Trajectory, window: float):
     the whole windows of WINDOW; a center is the mean of its window's times.
     """
     steps, nwin = _windows(traj, window)
-    centers = [math.fsum(traj.times[k:k + steps]) / steps
-               for k in range(0, nwin * steps, steps)]
+    centers = [_mean(traj.times[k:k + steps]) for k in range(0, nwin * steps, steps)]
     return (centers, _peak_to_peak(traj.beta, steps, 0, nwin),
             _peak_to_peak(traj.lambda_, steps, 0, nwin))
 
@@ -182,15 +194,16 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
     (after a transient skip) against the drift tolerance.  Only the beta
     amplitudes of the windows after the skip are computed.
     """
-    if window is None:
-        window = (traj.times[-1] - traj.times[0]) / 10.0
+    if not (0 <= drift_tol < 1 and 0 <= skip_fraction < 1):
+        raise InvalidInput(f"drift_tol={drift_tol!r} and skip_fraction={skip_fraction!r}"
+                           " must each lie in [0, 1)")
     steps, nwin = _windows(traj, window)
     amp = _peak_to_peak(traj.beta, steps, int(nwin * skip_fraction), nwin)
     if len(amp) < 2:
         raise WindowTooShort("too few windows after transient skip")
     tiny = 1e-300
     ratios = [math.log((a1 + tiny) / (a0 + tiny)) for a0, a1 in zip(amp, amp[1:])]
-    mean = math.fsum(ratios) / len(ratios)
+    mean = _mean(ratios)
     if mean > math.log1p(drift_tol):
         return "growing"
     if mean < math.log1p(-drift_tol):
@@ -200,9 +213,11 @@ def classify_dynamics(traj: Trajectory, window: float | None = None,
 
 def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     """Mean spacing of alternate mean-crossings of beta in the tail."""
+    if not 0 < tail_fraction <= 1:
+        raise InvalidInput(f"tail_fraction must be in (0, 1], got {tail_fraction!r}")
     start = int(len(traj.times) * (1.0 - tail_fraction))
     t, tail = traj.times, traj.beta[start:]
-    mean = math.fsum(tail) / len(tail) if len(tail) else 0.0
+    mean = _mean(tail) if len(tail) else 0.0
     # a loop over the deviations: as fast as a list of them, in O(1) memory
     crossings, x = [], map(mean.__rsub__, tail)
     x0 = next(x, 0.0)
@@ -213,4 +228,4 @@ def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     if len(crossings) < 3:
         raise NoOscillation(f"{len(crossings)} mean-crossings in the tail, need >= 3")
     gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
-    return math.fsum(gaps) / len(gaps)
+    return _mean(gaps)

@@ -32,7 +32,6 @@ class CharCoefficients(NamedTuple):
     p0: float
     r0: float
     q0: float
-    variant: str
 
 
 class HCase(NamedTuple):
@@ -59,34 +58,10 @@ class SpectralReport(NamedTuple):
     omegas: tuple[float, ...] = ()
     tau_ladders: tuple[tuple[float, ...], ...] = ()
     tau0: float | None = None
-    tau_next: float | None = None  # smallest ladder delay above tau0; not in to_dict
+    tau_next: float | None = None  # smallest ladder delay above tau0
     omega0: float | None = None
     z0: float | None = None
     transversality: TransversalityReport | None = None
-
-    def to_dict(self, verdict: str | None = None) -> dict:
-        doc = {
-            "p0": self.coefficients.p0,
-            "r0": self.coefficients.r0,
-            "q0": self.coefficients.q0,
-            "h_case": self.h_case.tag,
-            "omega": list(self.omegas),
-            "tau_ladder": [list(l) for l in self.tau_ladders],
-            "tau0": self.tau0,
-            "omega0": self.omega0,
-            "z0": self.z0,
-            "h_prime_z0": (self.transversality.h_prime_z0
-                           if self.transversality else None),
-            "re_lambda_prime": (self.transversality.re_lambda_prime
-                                if self.transversality else None),
-            "stable_at_zero": self.stable_at_zero,
-            "delay_independent": self.delay_independent,
-        }
-        if self.h_case.note:
-            doc["h_case_note"] = self.h_case.note
-        if verdict is not None:
-            doc["verdict"] = verdict
-        return doc
 
 
 class Verdict(NamedTuple):
@@ -104,7 +79,6 @@ def char_coefficients(eq: Equilibrium, coeffs: SubsystemCoefficients) -> CharCoe
         p0=wd * le - gc * be,
         r0=(coeffs.delta0 - wd) * gc * be * le,
         q0=coeffs.delta0 * coeffs.rho1 * be * le,
-        variant=coeffs.variant,
     )
 
 

@@ -1,7 +1,9 @@
+import json
 import warnings
 
 import pytest
 
+from goodwin_delay.cli import main
 from goodwin_delay.errors import NotInteriorWarning
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 
@@ -40,3 +42,16 @@ def case_b():
     coeffs = subsystem_coefficients(p, "B")
     eq = equilibrium(coeffs, p)
     return p, coeffs, eq
+
+
+@pytest.fixture
+def analysis_json(tmp_path):
+    """Run `goodwin-delay analyze` on a parameter dict and CLI arguments, and
+    return the analysis.json it writes."""
+    def run(raw, *args):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["analyze", "--config", str(config), *args,
+                     "--out", str(tmp_path)]) == 0
+        return json.loads((tmp_path / "analysis.json").read_text())
+    return run

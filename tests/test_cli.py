@@ -452,6 +452,41 @@ def test_simulate_bytes_are_pinned(name, config_a, tmp_path, capsys):
     assert tuple(hashlib.sha256(d).hexdigest() for d in data) == digests
 
 
+# sha256 of analyze's analysis.json, stdout and stderr
+PINNED_ANALYSES = {
+    "A_tau0.05": (CASE_A, ["--tau", "0.05"], (
+        "5d8aa5c4a28bd79e98d0167bea9dca32c66dcd697d044edc914d8044f1e5f267",
+        "ef8ab726b60fcc231bc34633e24c9982263efdbcca54a496d4337aadab53d98d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    "B": (CASE_B, ["--variant", "B"], (
+        "aef54c6fadbfc5e90571d36712898caf2f07285eea71645cfdb2001e6d48e9c7",
+        "811a983b914f6c8f626929924e24fc45c6fdf98b176fbd194f09767d0ca38e1e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    # the equilibrium lies outside (0,1)^2: one warning line on stderr
+    "A_outside": ({**CASE_A, "gamma1": 0.5}, [], (
+        "74af5262098607c192cc136f1d0b53e4daa6d73b17228ed69ebd7d29f5558097",
+        "b61feafe391251a514804efac48e1856b989b56726df8525f6b3894a01c9660b",
+        "db6c439c8c54aaa3490cb2e35a572fadc85a1470b4c7fe1f35840adb44d0f4ff")),
+    # H1, stable or unstable at every delay: no crossing and "hopf": null
+    "A_H1": ({**CASE_A, "gamma2": 3.0}, [], (
+        "d880d52a3f27b1fd06a7a3f34f910634c0aac62e0bf0c9442ffa857c06aa77b2",
+        "05be9d012721a352ca318550e9ca7888d321faa9c96111d9e2a0345ae68d5ab5",
+        "2c2595522e0ca3ad2cbe8e4e51695541452e4424c753f8eaf3479943297f904c")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ANALYSES))
+def test_analyze_bytes_are_pinned(name, tmp_path, capsys):
+    raw, args, digests = PINNED_ANALYSES[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["analyze", "--config", str(config), *args, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    data = [(tmp_path / "analysis.json").read_bytes(), captured.out.encode(),
+            captured.err.encode()]
+    assert tuple(hashlib.sha256(d).hexdigest() for d in data) == digests
+
+
 @pytest.mark.parametrize("args, small, large", [
     (["--param", "tau", "--start", "0", "--stop", "0.1", "--with-hopf"], 2_000, 20_000),
     (["--param", "delta", "--start", "3.5", "--stop", "5", "--tau", "0.03",
@@ -529,11 +564,19 @@ def test_outside_equilibrium_is_one_plain_stderr_line(command, tmp_path, capsys)
         "warning: equilibrium (1.3674398299629584, 0.09347899241150195) outside (0,1)^2\n")
 
 
-@pytest.mark.parametrize("site", ["check_delay", "j_max", "jmax", "t_end",
-                                  "step_hint", "history"])
+@pytest.mark.parametrize("site", [
+    "check_delay", "j_max", "jmax", "t_end", "step_hint", "history",
+    # diagnostic arguments that raised OverflowError, ValueError or IndexError,
+    # or (tail_fraction=1.5) read as 0.5
+    "window=inf", "window=nan", "window=0", "drift_tol=1", "skip_fraction=-0.5",
+    "tail_fraction=1.5", "tail_fraction=3"])
 def test_input_errors_are_typed(site, case_a):
     _, coeffs, eq = case_a
     hist = simulate_module.HistorySpec(beta=0.9, lambda_=0.7)
+
+    def run():
+        return simulate_module.simulate(coeffs, 0.05, hist, 100.0)
+
     calls = {
         "check_delay": lambda: check_delay(-1.0),
         "j_max": lambda: analyze_spectrum(eq, coeffs, j_max=-1),
@@ -544,6 +587,14 @@ def test_input_errors_are_typed(site, case_a):
         "history": lambda: simulate_module.simulate(
             coeffs, 0.05, simulate_module.HistorySpec(beta=math.nan, lambda_=0.7),
             10.0),
+        "window=inf": lambda: simulate_module.amplitude_envelope(run(), math.inf),
+        "window=nan": lambda: simulate_module.classify_dynamics(run(), window=math.nan),
+        "window=0": lambda: simulate_module.amplitude_envelope(run(), 0.0),
+        "drift_tol=1": lambda: simulate_module.classify_dynamics(run(), drift_tol=1.0),
+        "skip_fraction=-0.5": lambda: simulate_module.classify_dynamics(
+            run(), skip_fraction=-0.5),
+        "tail_fraction=1.5": lambda: simulate_module.oscillation_period(run(), 1.5),
+        "tail_fraction=3": lambda: simulate_module.oscillation_period(run(), 3.0),
     }
     with pytest.raises(errors.InvalidInput):
         calls[site]()

@@ -355,14 +355,14 @@ class TestLyapunov:
         assert measured.real / c1.real == pytest.approx(1.0, abs=0.01)
         assert measured.imag / c1.imag == pytest.approx(1.0, abs=0.01)
 
-    def test_case_b_extrapolated_flag(self, case_b):
+    def test_case_b_extrapolated_flag(self, case_b, analysis_json):
         # variant B is checked against both oracles like A, so its report
         # carries no extrapolation flag
         _, coeffs, eq = case_b
         rep = analyze_spectrum(eq, coeffs)
         hopf = hopf_analysis(eq, coeffs, rep)
         assert "extrapolated" not in hopf._fields
-        assert "extrapolated" not in hopf.to_dict()
+        assert "extrapolated" not in analysis_json(CASE_B, "--variant", "B")["hopf"]
         assert hopf.direction == "subcritical"
 
     def test_degenerate_c1_inconclusive(self):
@@ -395,10 +395,9 @@ class TestLyapunov:
         with pytest.raises(NonFiniteCoefficient, match=message):
             hopf_analysis(eq, coeffs, analyze_spectrum(eq, coeffs))
 
-    def test_to_dict(self, case_a):
-        _, coeffs, eq = case_a
-        rep = analyze_spectrum(eq, coeffs)
-        doc = hopf_analysis(eq, coeffs, rep).to_dict()
+    def test_to_dict(self, analysis_json):
+        # the hopf block of analysis.json: c1(0) to the bit, keys in order
+        doc = analysis_json(CASE_A)["hopf"]
         assert doc["direction"] == "subcritical"
         assert doc["c1_re"] == pytest.approx(C1_REF.real, abs=1e-4)
         assert doc["c1_re"] == C1_REF.real and doc["c1_im"] == C1_REF.imag

@@ -17,7 +17,7 @@ RECORD_FIELDS = {
     model.SubsystemCoefficients: ("variant", "beta0", "lambda0", "delta0",
                                   "growth_coupling", "wage_damping", "rho1"),
     model.Equilibrium: ("beta_e", "lambda_e", "interior", "lambda_star"),
-    spectral.CharCoefficients: ("p0", "r0", "q0", "variant"),
+    spectral.CharCoefficients: ("p0", "r0", "q0"),
     spectral.HCase: ("tag", "discriminant", "roots", "note"),
     spectral.TransversalityReport: ("h_prime_z0", "D", "re_lambda_prime", "sign"),
     spectral.SpectralReport: ("coefficients", "h_case", "stable_at_zero",

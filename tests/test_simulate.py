@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import goodwin_delay.simulate as simulate_module
-from goodwin_delay.errors import (GoodwinDelayError, GridTooLarge, NoOscillation,
-                                  StepTooLarge, WindowTooShort)
+from goodwin_delay.errors import (GoodwinDelayError, GridTooLarge, InvalidInput,
+                                  NoOscillation, StepTooLarge, WindowTooShort)
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.simulate import (
     HistorySpec,
@@ -275,6 +275,16 @@ class TestDiagnostics:
                           lambda_=np.zeros_like(t), tau=0.0,
                           step=float(t[1] - t[0]))
         with pytest.raises(NoOscillation):
+            oscillation_period(traj)
+
+    def test_mean_overflow_is_typed(self):
+        # ten times and states of 1e308: the fsum of a window of times and of
+        # the tail of beta overflow, which was a bare OverflowError
+        big = array("d", [1e308]) * 10
+        traj = Trajectory(times=big, beta=big, lambda_=big, tau=0.0, step=1.0)
+        with pytest.raises(InvalidInput, match="overflows"):
+            amplitude_envelope(traj, window=5.0)
+        with pytest.raises(InvalidInput, match="overflows"):
             oscillation_period(traj)
 
 

@@ -24,7 +24,7 @@ from goodwin_delay.spectral import (
     verdict_at,
 )
 
-from helpers import brute_force_onset, rhp_root_count, sample_crossing_set
+from helpers import CASE_A, brute_force_onset, rhp_root_count, sample_crossing_set
 
 
 def mp_char_coefficients(eq, coeffs):
@@ -63,8 +63,8 @@ class TestCoefficients:
             assert stable_at_zero_delay(char_coefficients(eq, coeffs))
 
     def test_unstable_at_zero_detected(self):
-        assert not stable_at_zero_delay(CharCoefficients(-0.1, 0.0, 0.5, "A"))
-        assert not stable_at_zero_delay(CharCoefficients(0.1, 0.2, -0.3, "A"))
+        assert not stable_at_zero_delay(CharCoefficients(-0.1, 0.0, 0.5))
+        assert not stable_at_zero_delay(CharCoefficients(0.1, 0.2, -0.3))
 
 
 class TestClassifyH:
@@ -86,14 +86,14 @@ class TestClassifyH:
 
     def test_h1_no_real_roots(self):
         # h(z) = z^2 + 0.09 z + 0.0025: disc < 0
-        c = CharCoefficients(p0=0.7, r0=0.2, q0=0.1937, variant="A")
+        c = CharCoefficients(p0=0.7, r0=0.2, q0=0.1937)
         h = classify_h(c)
         assert h.tag == "H1"
         assert h.roots == ()
 
     def test_h5_negative_real_roots(self):
         # a > 0 and const > 0: both roots negative
-        c = CharCoefficients(p0=1.0, r0=0.1, q0=0.05, variant="A")
+        c = CharCoefficients(p0=1.0, r0=0.1, q0=0.05)
         h = classify_h(c)
         assert h.tag == "H5"
         assert h.roots == ()
@@ -101,7 +101,7 @@ class TestClassifyH:
     def test_h6_two_positive_roots(self):
         # a < 0, const > 0, disc > 0: two positive roots with
         # h' positive at the larger and negative at the smaller
-        c = CharCoefficients(p0=0.1, r0=0.5, q0=0.45, variant="A")
+        c = CharCoefficients(p0=0.1, r0=0.5, q0=0.45)
         h = classify_h(c)
         assert h.tag == "H6"
         assert len(h.roots) == 2
@@ -113,7 +113,7 @@ class TestClassifyH:
 
     def test_h6_boundary_const_zero(self):
         # r0 = q0 puts one root at exactly zero: excluded from crossings
-        c = CharCoefficients(p0=0.1, r0=0.5, q0=0.5, variant="A")
+        c = CharCoefficients(p0=0.1, r0=0.5, q0=0.5)
         h = classify_h(c)
         assert h.tag == "H6"
         assert len(h.roots) == 1
@@ -125,7 +125,7 @@ class TestClassifyH:
         p0 = 0.2
         a = p0 ** 2 - 2 * r0
         q0 = math.sqrt(r0 ** 2 - a * a / 4.0)
-        h = classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0, variant="A"))
+        h = classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0))
         assert h.tag == "H3"
         assert h.roots == (-a / 2.0,)
 
@@ -138,14 +138,14 @@ class TestClassifyH:
     ])
     def test_non_finite_h_is_typed(self, p0, r0, q0):
         with pytest.raises(NonFiniteCoefficient):
-            classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0, variant="A"))
+            classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0))
 
     def test_h2_double_root_negative(self):
         # disc = 0 with -a/2 < 0: tangency on the negative axis
         r0, p0 = 0.5, 1.2
         a = p0 ** 2 - 2 * r0  # 0.44 > 0, so the double root -a/2 < 0
         q0 = math.sqrt(r0 ** 2 - a * a / 4.0)
-        h = classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0, variant="A"))
+        h = classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0))
         assert h.tag == "H2"
         assert h.roots == ()
 
@@ -154,7 +154,7 @@ class TestClassifyH:
            q0=st.floats(-2, 2, allow_nan=False))
     @settings(max_examples=2000, deadline=None)
     def test_exhaustive_and_roots_valid(self, p0, r0, q0):
-        c = CharCoefficients(p0=p0, r0=r0, q0=q0, variant="A")
+        c = CharCoefficients(p0=p0, r0=r0, q0=q0)
         h = classify_h(c)
         assert h.tag in ("H1", "H2", "H3", "H4", "H5", "H6")
         for z in h.roots:
@@ -194,7 +194,7 @@ class TestCriticalDelays:
 
     def test_reflected_branch(self):
         # p0 < 0 forces sin(omega*tau) < 0, i.e. the 2*pi - arccos branch
-        c = CharCoefficients(p0=-0.05, r0=0.0, q0=0.5, variant="A")
+        c = CharCoefficients(p0=-0.05, r0=0.0, q0=0.5)
         h = classify_h(c)
         omega = math.sqrt(h.roots[0])
         ladder = critical_delays(c, omega)
@@ -202,13 +202,13 @@ class TestCriticalDelays:
         assert math.sin(omega * ladder[0]) < 0
 
     def test_acos_domain_guard(self):
-        c = CharCoefficients(p0=0.0, r0=5.0, q0=0.1, variant="A")
+        c = CharCoefficients(p0=0.0, r0=5.0, q0=0.1)
         with pytest.raises(AcosDomain):
             critical_delays(c, 3.0)
         with pytest.raises(AcosDomain):
             critical_delays(c, -1.0)
         with pytest.raises(AcosDomain):
-            critical_delays(CharCoefficients(0.1, 0.0, 0.0, "A"), 1.0)
+            critical_delays(CharCoefficients(0.1, 0.0, 0.0), 1.0)
 
 
 class TestTransversality:
@@ -230,7 +230,7 @@ class TestTransversality:
         assert hp > 0
 
     def test_degenerate_crossing_guard(self):
-        c = CharCoefficients(p0=0.2, r0=0.5, q0=0.3, variant="A")
+        c = CharCoefficients(p0=0.2, r0=0.5, q0=0.3)
         # z0 = -(p0^2 - 2 r0)/2 makes h' vanish identically
         z0 = (2 * c.r0 - c.p0 ** 2) / 2.0
         with pytest.raises(DegenerateCrossing):
@@ -319,7 +319,7 @@ class TestVerdicts:
         with pytest.raises(InvalidInput):
             analyze_spectrum(eq, coeffs, j_max=j_max)
 
-    def test_interval_is_the_next_ladder_delay(self, case_a, case_b):
+    def test_interval_is_the_next_ladder_delay(self, case_a, case_b, analysis_json):
         # the interval ends at the smallest ladder delay above tau0
         rng = np.random.default_rng(23)
         pairs = [case_a[1:], case_b[1:]] + [
@@ -332,13 +332,14 @@ class TestVerdicts:
                 want = (rep.tau0, min(later)) if later else None
                 assert rep.stable_at_zero
                 assert verdict_at(rep, 0.0).interval == want
-        assert "tau_next" not in rep.to_dict()
+        # analysis.json reports the interval, not tau_next
+        assert "tau_next" not in analysis_json(CASE_A)["spectral"]
 
-    def test_report_to_dict_round_trips(self, case_a):
-        _, coeffs, eq = case_a
-        doc = analyze_spectrum(eq, coeffs).to_dict(verdict="unstable")
+    def test_report_to_dict_round_trips(self, analysis_json):
+        # the spectral block of analysis.json, with the verdict at --tau last
+        doc = analysis_json(CASE_A, "--tau", "0.05")["spectral"]
         assert doc["h_case"] == "H4"
-        assert doc["verdict"] == "unstable"
+        assert list(doc)[-1] == "verdict" and doc["verdict"] == "unstable"
         assert doc["tau0"] == pytest.approx(0.0348488, abs=1e-6)
 
 
