@@ -13,14 +13,13 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from itertools import count
 from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
 from .errors import (ConfigError, ConstraintViolation, GoodwinDelayError, NoOscillation,
-                     NotInteriorWarning, WindowTooShort)
+                     WindowTooShort)
 from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coefficients,
                     validate_parameters)
 from .normal_form import hopf_analysis
@@ -74,10 +73,18 @@ def _check_probe(jmax: int, taus) -> None:
         check_delay(tau)
 
 
-def _analysis(p, variant: str, j_max: int, with_hopf: bool):
-    """Coefficients -> equilibrium -> spectrum (-> Hopf report), each once."""
+def _warn_outside(eq) -> None:
+    print(f"warning: equilibrium ({eq.beta_e}, {eq.lambda_e}) outside (0,1)^2",
+          file=sys.stderr)
+
+
+def _analysis(p, variant: str, j_max: int, with_hopf: bool, outside):
+    """Coefficients -> equilibrium -> spectrum (-> Hopf report), each once;
+    OUTSIDE(eq) reports an equilibrium outside (0,1)^2 before the spectrum."""
     coeffs = subsystem_coefficients(p, variant)
     eq = equilibrium(coeffs, p)
+    if not eq.interior:
+        outside(eq)
     report = analyze_spectrum(eq, coeffs, j_max=j_max)
     if with_hopf and report.tau0 is not None:
         return eq, report, hopf_analysis(eq, coeffs, report)
@@ -88,7 +95,7 @@ def cmd_analyze(args) -> int:
     p = _load_params(args)
     _check_probe(args.jmax, [args.tau])
     out = _outdir(args)
-    eq, report, hopf = _analysis(p, args.variant, args.jmax, True)
+    eq, report, hopf = _analysis(p, args.variant, args.jmax, True, _warn_outside)
     verdict = verdict_at(report, args.tau)
     c, tv = report.coefficients, report.transversality
     spectral = {
@@ -140,6 +147,8 @@ def cmd_simulate(args) -> int:
     p = _load_params(args)
     coeffs = subsystem_coefficients(p, args.variant)
     eq = equilibrium(coeffs, p)
+    if not eq.interior:
+        _warn_outside(eq)
     if args.init is not None:
         b0, l0 = (float(x) for x in args.init.split(","))
     else:
@@ -218,18 +227,18 @@ def cmd_sweep(args) -> int:
     tau_axis = args.param == "tau"
     _check_probe(args.jmax, _grid(args) if tau_axis else [args.tau])
     out = _outdir(args)
+    tally = count()  # of the outside equilibria, reported in one line
 
     def analysis_at(value):
         """The row's (eq, report, hopf), or its error; a tau axis analyzes P as is."""
         try:
             row_p = p if tau_axis else replace_field(p, args.param, value)
-            return _analysis(row_p, args.variant, args.jmax, args.with_hopf)
+            return _analysis(row_p, args.variant, args.jmax, args.with_hopf,
+                             lambda eq: next(tally))
         except GoodwinDelayError as exc:
             return exc
 
     header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
-    warned = count()  # a tally of the NotInteriorWarnings in place of main's lines
-    warnings.showwarning = lambda *_: next(warned)
     if tau_axis:  # only the verdict depends on tau: analyze and format once
         row = _sweep_row(analysis_at(None), args.with_hopf)
         lines = (row(tau, tau) for tau in _grid(args))
@@ -237,9 +246,7 @@ def cmd_sweep(args) -> int:
         lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau)
                  for v in _grid(args))
     _write_csv(out / "sweep.csv", header, lines)  # each row as it is formatted
-    # one stderr line instead of a warning per row; a tau sweep's rows share
-    # one equilibrium
-    outside = next(warned) * (args.count if tau_axis else 1)
+    outside = next(tally) * (args.count if tau_axis else 1)  # a tau sweep analyzes once
     print(f"wrote {args.count} rows to {out / 'sweep.csv'}")
     if outside:
         print(f"{outside} rows have an equilibrium outside (0,1)^2", file=sys.stderr)
@@ -297,11 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # each warning (the analysis raises only NotInteriorWarning): one line, no path
-        with warnings.catch_warnings():
-            warnings.simplefilter("always", NotInteriorWarning)
-            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-            return args.func(args)
+        return args.func(args)
     except GoodwinDelayError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return exc.exit_code

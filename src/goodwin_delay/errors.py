@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 An error's class sets the CLI's exit code and the label of its message.
 """
@@ -108,4 +108,4 @@ class NoOscillation(SimulationError):
 
 
 class NotInteriorWarning(UserWarning):
-    """Equilibrium lies outside the open unit square (0,1)^2."""
+    """Never raised (Equilibrium.interior flags it); the benchmark still imports it."""

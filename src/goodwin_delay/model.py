@@ -15,11 +15,10 @@ constants validated here.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 from .errors import (ConstraintViolation, EquilibriumUndefined, InconsistentPsi,
-                     MissingField, NotInteriorWarning, UnknownField, VariantConstraint)
+                     MissingField, UnknownField, VariantConstraint)
 
 PARAM_FIELDS = (
     "mu1", "mu2", "nu1", "nu2", "n", "gamma1", "gamma2",
@@ -222,12 +221,6 @@ def equilibrium(coeffs: SubsystemCoefficients, p: ModelParameters) -> Equilibriu
         raise InconsistentPsi(
             f"lambda_e* = {lambda_star!r} differs from lambda_e = {lambda_e!r}")
     interior = 0.0 < beta_e < 1.0 and 0.0 < lambda_e < 1.0
-    if not interior:
-        warnings.warn(
-            f"equilibrium ({beta_e}, {lambda_e}) outside (0,1)^2",
-            NotInteriorWarning,
-            stacklevel=2,
-        )
     return Equilibrium(beta_e=beta_e, lambda_e=lambda_e, interior=interior,
                        lambda_star=lambda_star)
 

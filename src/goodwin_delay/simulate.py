@@ -152,13 +152,16 @@ def _mean(x) -> float:
 def _windows(traj: Trajectory, window: float | None) -> tuple[int, int]:
     """(grid steps per window, whole windows in TRAJ) for WINDOW, by default
     a tenth of the run (0.0, too short, for a run of one row)."""
-    if window is None:
+    default = window is None
+    if default:
         window = (traj.times[-1] - traj.times[0]) / 10.0
     elif not (math.isfinite(window) and window > 0):
         raise InvalidInput(f"window must be finite and positive, got {window!r}")
     steps = int(round(window / traj.step))
     if steps < 5:
-        raise WindowTooShort(f"window {window} spans {steps} < 5 steps")
+        raise WindowTooShort(f"a run of {len(traj.times) - 1} steps is too short to classify"
+                             ": its default window, a tenth of the run, spans < 5 steps"
+                             if default else f"window {window} spans {steps} < 5 steps")
     nwin = len(traj.times) // steps
     if nwin == 0:
         raise WindowTooShort("trajectory shorter than one window")

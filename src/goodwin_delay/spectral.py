@@ -66,7 +66,6 @@ class SpectralReport(NamedTuple):
 
 class Verdict(NamedTuple):
     kind: str  # stable_all_delays | stable | hopf_critical | unstable | unstable_at_zero
-    tau: float
     interval: tuple[float, float] | None
     report: SpectralReport
 
@@ -226,9 +225,9 @@ def verdict_at(report: SpectralReport, tau: float) -> Verdict:
     """Stability classification at delay tau, given the tau-independent spectrum."""
     check_delay(tau)  # the library's guard; the CLI also checks before writing
     if not report.stable_at_zero:
-        return Verdict(kind="unstable_at_zero", tau=tau, interval=None, report=report)
+        return Verdict(kind="unstable_at_zero", interval=None, report=report)
     if report.delay_independent:
-        return Verdict(kind="stable_all_delays", tau=tau, interval=None, report=report)
+        return Verdict(kind="stable_all_delays", interval=None, report=report)
     tau0 = report.tau0
     interval = None if report.tau_next is None else (tau0, report.tau_next)
     if abs(tau - tau0) < HOPF_CRITICAL_TOL:
@@ -237,7 +236,7 @@ def verdict_at(report: SpectralReport, tau: float) -> Verdict:
         kind = "stable"
     else:
         kind = "unstable"
-    return Verdict(kind=kind, tau=tau, interval=interval, report=report)
+    return Verdict(kind=kind, interval=interval, report=report)
 
 
 def stability_verdict(p: ModelParameters, variant: str, tau: float,

@@ -1,21 +1,11 @@
 import json
-import warnings
 
 import pytest
 
 from goodwin_delay.cli import main
-from goodwin_delay.errors import NotInteriorWarning
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 
 from helpers import CASE_A, CASE_B
-
-
-@pytest.fixture(autouse=True)
-def _silence_interior_warnings():
-    # randomly sampled parameter sets routinely sit outside the unit square
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NotInteriorWarning)
-        yield
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,20 @@ class TestSimulate:
         assert rows and all(math.isfinite(float(cell))
                             for row in rows for cell in row.values())
 
+    @pytest.mark.parametrize("t_end, steps", [("1e-12", 0), ("0.1", 16)])
+    def test_run_too_short_to_classify_names_the_run(self, t_end, steps, config_a,
+                                                     tmp_path, capsys):
+        # the default window is a tenth of the run, so the message names the
+        # run; the files are written before the classification fails
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--config", config_a, "--tau", "0.05",
+                   "--t-end", t_end, "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"simulation error: a run of {steps} steps is too short to classify: its"
+            " default window, a tenth of the run, spans < 5 steps\n")
+        assert (out / "trajectory.csv").exists() and (out / "run.json").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--tau", "inf"), ("--init", "nan,nan"),
         ("--t-end", "nan"), ("--step", "nan"),
@@ -275,14 +290,36 @@ class TestSweep:
         tau0s = {r["tau0"] for r in rows}
         assert len(tau0s) == 1
 
-    def test_outside_rows_summarized_in_one_line(self, config_a, tmp_path, capsys):
-        out = tmp_path / "sw"
-        rc = main(["sweep", "--config", config_a, "--param", "gamma1",
-                   "--start", "0", "--stop", "0.6", "--count", "300",
-                   "--tau", "0.03", "--out", str(out)])
+    @pytest.mark.parametrize("changes, axis, outside", [
+        ({}, ["--param", "gamma1", "--start", "0", "--stop", "0.6", "--count", "300",
+              "--tau", "0.03"], 242),
+        # every row is a ResidualCheckFailed error row: counted though not written
+        ({}, ["--param", "a1", "--start", "1e4", "--stop", "1e7", "--count", "40",
+              "--tau", "0.03", "--with-hopf"], 40),
+        # the rows of a tau sweep share one equilibrium
+        ({"gamma1": 0.5}, ["--param", "tau", "--start", "0", "--stop", "0.06",
+                           "--count", "7"], 7),
+    ], ids=["gamma1", "a1_error_rows", "tau"])
+    def test_outside_rows_summarized_in_one_line(self, changes, axis, outside, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**CASE_A, **changes}))
+        rc = main(["sweep", "--config", str(cfg), *axis, "--out", str(tmp_path / "sw")])
         assert rc == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["242 rows have an equilibrium outside (0,1)^2"]
+        assert capsys.readouterr().err == (
+            f"{outside} rows have an equilibrium outside (0,1)^2\n")
+
+    def test_sweep_leaves_the_warning_printer_alone(self, tmp_path):
+        # called directly, not through main, on a config whose rows lie outside
+        cfg = tmp_path / "outside.json"
+        cfg.write_text(json.dumps({**CASE_A, "gamma1": 0.5}))
+        args = cli.build_parser().parse_args([
+            "sweep", "--config", str(cfg), "--param", "tau", "--start", "0",
+            "--stop", "0.06", "--count", "2", "--out", str(tmp_path / "sw")])
+        with warnings.catch_warnings():  # restores the printer whatever the sweep does
+            before = warnings.showwarning
+            assert cli.cmd_sweep(args) == 0
+            assert warnings.showwarning is before
 
     def test_delta_sweep_consistent_with_analyze(self, config_a, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -491,7 +528,7 @@ def test_analyze_bytes_are_pinned(name, tmp_path, capsys):
     (["--param", "tau", "--start", "0", "--stop", "0.1", "--with-hopf"], 2_000, 20_000),
     (["--param", "delta", "--start", "3.5", "--stop", "5", "--tau", "0.03",
       "--with-hopf"], 200, 2_000),
-    # most rows lie outside (0,1)^2, and each warns
+    # most rows lie outside (0,1)^2, and each is counted
     (["--param", "gamma1", "--start", "0", "--stop", "0.6", "--tau", "0.03"], 200, 2_000),
 ], ids=["tau", "delta", "gamma1"])
 def test_sweep_memory_does_not_grow_with_rows(args, small, large, config_a, tmp_path,
@@ -555,13 +592,22 @@ def test_config_that_is_not_an_object_of_floats_exits_1(text, tmp_path, capsys):
 @pytest.mark.parametrize("command", [["analyze"],
                                      ["simulate", "--tau", "0.03", "--t-end", "50"]])
 def test_outside_equilibrium_is_one_plain_stderr_line(command, tmp_path, capsys):
-    # without the source path and line the warnings module prints, which
-    # change with every edit to cli.py and with the install path
     cfg = tmp_path / "outside.json"
     cfg.write_text(json.dumps({**CASE_A, "gamma1": 0.5}))
     assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == (
         "warning: equilibrium (1.3674398299629584, 0.09347899241150195) outside (0,1)^2\n")
+
+
+def test_outside_equilibrium_line_precedes_the_analysis_error(tmp_path, capsys):
+    # the equilibrium is reported before the spectrum fails its residual check
+    cfg = tmp_path / "outside.json"
+    cfg.write_text(json.dumps({**CASE_A, "a1": 9e5}))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    warning, error = capsys.readouterr().err.splitlines(keepends=True)
+    assert warning == (
+        "warning: equilibrium (889707.9232948085, 13413.370702936812) outside (0,1)^2\n")
+    assert error.startswith("analysis error: |P(i*") and error.endswith(" exceeds 1e-09\n")
 
 
 @pytest.mark.parametrize("site", [

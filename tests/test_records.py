@@ -23,7 +23,7 @@ RECORD_FIELDS = {
     spectral.SpectralReport: ("coefficients", "h_case", "stable_at_zero",
                               "delay_independent", "omegas", "tau_ladders", "tau0",
                               "tau_next", "omega0", "z0", "transversality"),
-    spectral.Verdict: ("kind", "tau", "interval", "report"),
+    spectral.Verdict: ("kind", "interval", "report"),
     normal_form.HopfReport: ("c1_0", "mu2_bar", "beta2", "direction",
                              "orbit_stability", "period_estimate"),
     simulate.HistorySpec: ("beta", "lambda_"),
