@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from itertools import count
+from itertools import chain, count
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,7 +24,8 @@ from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coeffici
                     validate_parameters)
 from .normal_form import hopf_analysis
 from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
-from .spectral import analyze_spectrum, check_delay, check_depth, verdict_at
+from .spectral import (analyze_spectrum, check_delay, check_depth, critical_delays,
+                       verdict_at)
 
 EXIT_OK = 0  # a failure exits with its error class's exit_code
 
@@ -66,26 +67,19 @@ def _outdir(args) -> Path:
     return out
 
 
-def _check_probe(jmax: int, taus) -> None:
-    """Reject a bad ladder depth or delay before any analysis."""
-    check_depth(jmax)
-    for tau in taus:
-        check_delay(tau)
-
-
 def _warn_outside(eq) -> None:
     print(f"warning: equilibrium ({eq.beta_e}, {eq.lambda_e}) outside (0,1)^2",
           file=sys.stderr)
 
 
-def _analysis(p, variant: str, j_max: int, with_hopf: bool, outside):
+def _analysis(p, variant: str, with_hopf: bool, outside):
     """Coefficients -> equilibrium -> spectrum (-> Hopf report), each once;
     OUTSIDE(eq) reports an equilibrium outside (0,1)^2 before the spectrum."""
     coeffs = subsystem_coefficients(p, variant)
     eq = equilibrium(coeffs, p)
     if not eq.interior:
         outside(eq)
-    report = analyze_spectrum(eq, coeffs, j_max=j_max)
+    report = analyze_spectrum(eq, coeffs)
     if with_hopf and report.tau0 is not None:
         return eq, report, hopf_analysis(eq, coeffs, report)
     return eq, report, None
@@ -93,21 +87,22 @@ def _analysis(p, variant: str, j_max: int, with_hopf: bool, outside):
 
 def cmd_analyze(args) -> int:
     p = _load_params(args)
-    _check_probe(args.jmax, [args.tau])
+    check_depth(args.jmax)  # both before any output
+    check_delay(args.tau)
     out = _outdir(args)
-    eq, report, hopf = _analysis(p, args.variant, args.jmax, True, _warn_outside)
+    eq, report, hopf = _analysis(p, args.variant, True, _warn_outside)
     verdict = verdict_at(report, args.tau)
     c, tv = report.coefficients, report.transversality
     spectral = {
         "p0": c.p0, "r0": c.r0, "q0": c.q0,
         "h_case": report.h_case.tag,
         "omega": list(report.omegas),
-        "tau_ladder": [list(l) for l in report.tau_ladders],
+        "tau_ladder": [list(critical_delays(c, w, args.jmax)) for w in report.omegas],
         "tau0": report.tau0, "omega0": report.omega0, "z0": report.z0,
         "h_prime_z0": tv.h_prime_z0 if tv else None,
         "re_lambda_prime": tv.re_lambda_prime if tv else None,
         "stable_at_zero": report.stable_at_zero,
-        "delay_independent": report.delay_independent,
+        "delay_independent": report.tau0 is None,
     }
     if report.h_case.note:
         spectral["h_case_note"] = report.h_case.note
@@ -207,12 +202,12 @@ def _sweep_row(analysis, with_hopf: bool):
 
 
 def _grid(args):
-    """The sweep values start + i * step, generated anew on each call so that
+    """The sweep values start + i * step and then stop itself, generated so that
     no pass holds the grid; a one-point grid is start itself, -0.0 included."""
     if args.count == 1:
         return (args.start,)
     step = (args.stop - args.start) / (args.count - 1)
-    return (args.start + i * step for i in range(args.count))
+    return chain((args.start + i * step for i in range(args.count - 1)), (args.stop,))
 
 
 def cmd_sweep(args) -> int:
@@ -225,7 +220,8 @@ def cmd_sweep(args) -> int:
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ConstraintViolation("range", (args.start, args.stop), "finite range")
     tau_axis = args.param == "tau"
-    _check_probe(args.jmax, _grid(args) if tau_axis else [args.tau])
+    for tau in (args.start, args.stop) if tau_axis else (args.tau,):
+        check_delay(tau)  # a tau grid lies between its ends
     out = _outdir(args)
     tally = count()  # of the outside equilibria, reported in one line
 
@@ -233,8 +229,7 @@ def cmd_sweep(args) -> int:
         """The row's (eq, report, hopf), or its error; a tau axis analyzes P as is."""
         try:
             row_p = p if tau_axis else replace_field(p, args.param, value)
-            return _analysis(row_p, args.variant, args.jmax, args.with_hopf,
-                             lambda eq: next(tally))
+            return _analysis(row_p, args.variant, args.with_hopf, lambda eq: next(tally))
         except GoodwinDelayError as exc:
             return exc
 
@@ -265,21 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "employment/wage-share growth-cycle subsystems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, ladder: bool = True):
+    def common(sp):
         sp.add_argument("--config", required=True, help="JSON parameter file")
         sp.add_argument("--variant", choices=("A", "B"), default="A")
         sp.add_argument("--out", default=".", help="output directory")
-        if ladder:  # simulate reads no delay ladder
-            sp.add_argument("--jmax", type=int, default=3,
-                            help="delay-ladder depth per crossing frequency")
 
     sp = sub.add_parser("analyze", help="spectral + normal-form report")
     common(sp)
+    sp.add_argument("--jmax", type=int, default=3,
+                    help="rungs printed per crossing frequency, after the first")
     sp.add_argument("--tau", type=float, default=0.0)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("simulate", help="integrate a trajectory")
-    common(sp, ladder=False)
+    common(sp)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--t-end", dest="t_end", type=float, required=True)
     sp.add_argument("--step", type=float, default=None, help="step hint")

@@ -25,7 +25,7 @@ from .model import (Equilibrium, ModelParameters, SubsystemCoefficients, equilib
 DELTA_BOUNDARY_TOL = 1e-12  # discriminant == 0 resolution
 LADDER_RESIDUAL_TOL = 1e-9
 HOPF_CRITICAL_TOL = 1e-9
-MAX_LADDER_DEPTH = 1000  # rungs per crossing frequency; the CLI's --jmax cap
+MAX_LADDER_DEPTH = 1000  # deepest rung critical_delays builds; analyze's --jmax cap
 
 
 class CharCoefficients(NamedTuple):
@@ -54,9 +54,8 @@ class SpectralReport(NamedTuple):
     coefficients: CharCoefficients
     h_case: HCase
     stable_at_zero: bool
-    delay_independent: bool
-    omegas: tuple[float, ...] = ()
-    tau_ladders: tuple[tuple[float, ...], ...] = ()
+    omegas: tuple[float, ...] = ()  # crossing frequencies, descending; none: no crossing
+    first_rungs: tuple[float, ...] = ()  # tau_k^0 of each omega_k
     tau0: float | None = None
     tau_next: float | None = None  # smallest ladder delay above tau0
     omega0: float | None = None
@@ -148,6 +147,7 @@ def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[
     when the sine consistency check prefers the reflected branch
     (reachable for p0 < 0 in sweeps), 2*pi - arccos(...) is used instead.
     """
+    check_depth(j_max)
     if omega <= 0:
         raise AcosDomain("omega must be positive")
     if c.q0 == 0:
@@ -184,18 +184,15 @@ def transversality(c: CharCoefficients, z0: float, omega0: float,
                                 sign=1 if hp > 0 else -1)
 
 
-def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
-                     j_max: int = 3) -> SpectralReport:
-    """Full spectral report: coefficients, H-case, ladders, tau0, slope."""
-    check_depth(j_max)
+def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> SpectralReport:
+    """Full spectral report: coefficients, H-case, first rungs, tau0, slope."""
     c = char_coefficients(eq, coeffs)
     h = classify_h(c)
     stable0 = stable_at_zero_delay(c)
     if not h.roots:  # no crossing at any delay
-        return SpectralReport(coefficients=c, h_case=h, stable_at_zero=stable0,
-                              delay_independent=True)
+        return SpectralReport(coefficients=c, h_case=h, stable_at_zero=stable0)
     omegas = tuple(math.sqrt(z) for z in h.roots)  # descending, like the roots
-    ladders = tuple(critical_delays(c, w, j_max) for w in omegas)
+    ladders = tuple(critical_delays(c, w, 1) for w in omegas)  # a rung and omega fix each
     k0 = min(range(len(omegas)), key=lambda k: ladders[k][0])
     tau0 = ladders[k0][0]
     tau_next = min([t for ladder in ladders for t in ladder if t > tau0], default=None)
@@ -203,8 +200,8 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients,
     z0 = h.roots[k0]
     tv = transversality(c, z0, omega0, tau0)
     return SpectralReport(
-        coefficients=c, h_case=h, stable_at_zero=stable0,
-        delay_independent=False, omegas=omegas, tau_ladders=ladders,
+        coefficients=c, h_case=h, stable_at_zero=stable0, omegas=omegas,
+        first_rungs=tuple(ladder[0] for ladder in ladders),
         tau0=tau0, tau_next=tau_next, omega0=omega0, z0=z0, transversality=tv,
     )
 
@@ -226,22 +223,30 @@ def verdict_at(report: SpectralReport, tau: float) -> Verdict:
     check_delay(tau)  # the library's guard; the CLI also checks before writing
     if not report.stable_at_zero:
         return Verdict(kind="unstable_at_zero", interval=None, report=report)
-    if report.delay_independent:
+    if report.tau0 is None:
         return Verdict(kind="stable_all_delays", interval=None, report=report)
-    tau0 = report.tau0
-    interval = None if report.tau_next is None else (tau0, report.tau_next)
-    if abs(tau - tau0) < HOPF_CRITICAL_TOL:
+    interval = None if report.tau_next is None else (report.tau0, report.tau_next)
+    # root pairs in the right half-plane at tau -+ HOPF_CRITICAL_TOL: each rung at or
+    # below brings one in at the larger frequency and takes one out at the smaller (H6)
+    below = above = 0
+    for sign, omega, rung in zip((1, -1), report.omegas, report.first_rungs):
+        turns = (tau + HOPF_CRITICAL_TOL - rung) * omega / (2.0 * math.pi)
+        if turns == math.inf:  # beyond the float range, tau is past every switch
+            return Verdict(kind="unstable", interval=interval, report=report)
+        if turns >= 0:  # rungs 0..floor(turns) lie at or below
+            above += sign * (math.floor(turns) + 1)
+            turns = (tau - HOPF_CRITICAL_TOL - rung) * omega / (2.0 * math.pi)
+            if turns >= 0:
+                below += sign * (math.floor(turns) + 1)
+    if (below > 0) != (above > 0):
         kind = "hopf_critical"
-    elif tau < tau0:
-        kind = "stable"
     else:
-        kind = "unstable"
+        kind = "unstable" if below > 0 else "stable"
     return Verdict(kind=kind, interval=interval, report=report)
 
 
-def stability_verdict(p: ModelParameters, variant: str, tau: float,
-                      j_max: int = 3) -> Verdict:
+def stability_verdict(p: ModelParameters, variant: str, tau: float) -> Verdict:
     """Stability classification of the equilibrium at a given delay."""
     coeffs = subsystem_coefficients(p, variant)
     eq = equilibrium(coeffs, p)
-    return verdict_at(analyze_spectrum(eq, coeffs, j_max=j_max), tau)
+    return verdict_at(analyze_spectrum(eq, coeffs), tau)

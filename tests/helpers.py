@@ -29,6 +29,14 @@ CASE_B = dict(mu1=0.0186145, mu2=0.5, nu1=0.015, nu2=0.03, n=0.01, gamma1=0.0,
               gamma2=0.0, a1=0.9, a2=1.0, a3=1.0, b1=1.9, b2=0.0, b3=0.6,
               c=0.4, s_pi=0.24, s_w=0.04, delta=4.0)
 
+# case A's form with two crossing frequencies (H6), stable at zero, interior
+# equilibrium: a rung of the smaller frequency takes a root pair back out of
+# the right half-plane, so the equilibrium is stable again on [7.2788, 19.838]
+CASE_H6 = dict(mu1=0.0, mu2=1.0, nu1=0.103436, nu2=0.235665, n=0.00225221,
+               gamma1=0.0353766, gamma2=0.0361319, a1=2.54629, a2=1.23437,
+               a3=0.285496, b1=0.334909, b2=0.0, b3=0.99, c=0.495811,
+               s_pi=0.101171, s_w=0.0188542, delta=11.1944)
+
 
 # ---------------------------------------------------------------- roots
 

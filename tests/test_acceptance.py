@@ -10,12 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
-from goodwin_delay.spectral import analyze_spectrum, char_residual, critical_delays
+from goodwin_delay.spectral import (analyze_spectrum, char_residual, critical_delays,
+                                    verdict_at)
 
-from helpers import (brute_force_onset, drift_oracle, eigen_pair, fd_quadratic_g, hassard_c1,
-                     quadratic_g, sample_crossing_set)
+from helpers import (CASE_H6, brute_force_onset, drift_oracle, eigen_pair, fd_quadratic_g,
+                     hassard_c1, quadratic_g, sample_crossing_set)
 
 
 def _ok(num, msg):
@@ -142,8 +144,19 @@ def test_criterion_7_figure_concordance(case_a):
     assert labels[0.05] == "growing"
     predicted = 2 * math.pi / rep.omega0
     assert abs(period - predicted) / predicted < 0.05
+    # H6: past tau0 = 3.6024 the rung 7.2788 of the smaller frequency makes
+    # the equilibrium stable again, until the rung 19.838 of the larger
+    p = validate_parameters(dict(CASE_H6))
+    coeffs_h6 = subsystem_coefficients(p, "A")
+    eq_h6 = equilibrium(coeffs_h6, p)
+    rep_h6 = analyze_spectrum(eq_h6, coeffs_h6)
+    hist_h6 = HistorySpec(beta=eq_h6.beta_e - 0.05, lambda_=eq_h6.lambda_e - 0.05)
+    for tau, want in ((10.0, "decaying"), (25.0, "growing")):
+        assert verdict_at(rep_h6, tau).kind == {"decaying": "stable",
+                                                "growing": "unstable"}[want]
+        assert classify_dynamics(simulate(coeffs_h6, tau, hist_h6, t_end=3000.0)) == want
     _ok(7, f"decaying/sustained/growing; period {period:.4f} vs 2pi/omega0 "
-           f"{predicted:.4f}")
+           f"{predicted:.4f}; H6 stable again at tau = 10, unstable at 25")
 
 
 def test_criterion_8_integrator_order(case_a):

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 import goodwin_delay
 import goodwin_delay.simulate as simulate_module
 from goodwin_delay import cli, errors, normal_form
-from goodwin_delay.cli import _check_probe, main
+from goodwin_delay.cli import _grid, main
 from goodwin_delay.model import (PARAM_FIELDS, equilibrium, subsystem_coefficients,
                                  validate_parameters)
 from goodwin_delay.normal_form import hopf_analysis
-from goodwin_delay.spectral import analyze_spectrum, check_delay, stability_verdict
+from goodwin_delay.spectral import (analyze_spectrum, check_delay, check_depth,
+                                    critical_delays, stability_verdict)
 
-from helpers import CASE_A, CASE_B
+from helpers import CASE_A, CASE_B, CASE_H6
 
 TEXT_COLUMNS = {"h_case", "verdict", "direction", "orbit_stability", "error"}
 
@@ -133,8 +134,25 @@ class TestAnalyze:
         out = tmp_path / "out"
         rc = main([*command, "--config", config_a, "--jmax", "1001", "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "config error: jmax must be in 0..1000, got 1001\n"
+        # a sweep prints no ladder, so it takes no depth at all
+        error = ("unrecognized arguments: --jmax 1001" if command[0] == "sweep"
+                 else "jmax must be in 0..1000, got 1001")
+        assert capsys.readouterr().err == f"config error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jmax", ["0", "1", "3", "10"])
+    def test_jmax_sets_only_the_printed_ladder(self, jmax, analysis_json):
+        # the depth prints rungs 0..jmax of each frequency and changes nothing else
+        doc = analysis_json(CASE_H6, "--tau", "10", "--jmax", jmax)
+        ref = analysis_json(CASE_H6, "--tau", "10")
+        ladders = doc["spectral"].pop("tau_ladder")
+        assert [len(ladder) for ladder in ladders] == [int(jmax) + 1] * 2
+        k = min(int(jmax), 3) + 1  # the default depth prints 4 rungs
+        assert [ladder[:k] for ladder in ladders] == [
+            ladder[:k] for ladder in ref["spectral"].pop("tau_ladder")]
+        assert doc == ref
+        assert doc["spectral"]["verdict"] == "stable"
+        assert doc["instability_interval"] == [3.6024392653131576, 7.278808609276174]
 
     def test_singular_system_exits_2(self, config_a, tmp_path, capsys, monkeypatch):
         # no valid configuration makes Delta(2i omega0) singular (2i omega0
@@ -420,7 +438,7 @@ class TestSweep:
     def test_negative_tau_exits_1_before_rows(self, config_psi, tmp_path, capsys):
         # a rising grid that starts below zero, and a falling one that ends there
         for start, stop, count, bad in (("-0.01", "0.04", "5", "-0.01"),
-                                        ("0.04", "-0.01", "6", "-0.010000000000000002")):
+                                        ("0.04", "-0.01", "6", "-0.01")):
             out = tmp_path / f"sw{start}"
             assert main(["sweep", "--config", config_psi, "--variant", "B",
                          "--param", "tau", "--start", start, "--stop", stop,
@@ -428,6 +446,28 @@ class TestSweep:
             assert capsys.readouterr().err == (
                 f"config error: tau must be finite and nonnegative, got {bad}\n")
             assert not (out / "sweep.csv").exists()
+
+    def test_falling_tau_grid_ends_at_zero(self, config_a, tmp_path):
+        # start + i * step overshot to -3.5e-18 on the last row and exited 1
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", config_a, "--param", "tau", "--start", "0.03",
+                     "--stop", "0", "--count", "8", "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert [r["tau"] for r in rows][::7] == ["0.03", "0.0"]
+        assert [r["verdict"] for r in rows] == ["stable"] * 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(-1e300, 1e300), stop=st.floats(-1e300, 1e300),
+           count=st.integers(1, 2000))
+    def test_grid_runs_from_start_to_stop(self, start, stop, count):
+        args = cli.build_parser().parse_args([
+            "sweep", "--config", "c.json", f"--start={start!r}", f"--stop={stop!r}",
+            "--count", str(count)])
+        grid = list(_grid(args))
+        assert len(grid) == count and grid[0] == start
+        assert grid[-1] == (stop if count > 1 else start)
+        lo, hi = min(start, stop), max(start, stop)
+        assert all(lo <= v <= hi for v in grid)
 
     def test_non_finite_fixed_tau_exits_1(self, config_a, tmp_path, capsys):
         out = tmp_path / "sw"
@@ -449,9 +489,10 @@ PINNED_SWEEPS = {
                  "--count", "101", "--tau", "0.03", "--with-hopf"],
                 "cbe788cb6fbea1c24a46f0ff4994c4cdd3d88179302436f54ae64b9339fb0235"),
     # both re-derive g/rho0/rho1 per row and cross constraint edges
+    # its last row reads 1.2, not 1.1999999999999997, since the grid ends at stop
     "s_pi_A": (["--param", "s_pi", "--start", "0.01", "--stop", "1.2",
                 "--count", "301", "--tau", "0.03", "--with-hopf"],
-               "e69bfcc49db9a498ed6318a9dc5ab907bc7f748f14d4305c2da221942663976f"),
+               "77fbab3c75687b8174112945eeea8cc840ddd39301200ec70818ebb0af1dd05c"),
     "a3_A": (["--param", "a3", "--start", "0.5", "--stop", "1.2", "--count", "301"],
              "b9a806a515a9e240172dc055db208917fefd26c6867d7d69d15eb33fc62d61e1"),
 }
@@ -618,6 +659,7 @@ def test_outside_equilibrium_line_precedes_the_analysis_error(tmp_path, capsys):
     "tail_fraction=1.5", "tail_fraction=3"])
 def test_input_errors_are_typed(site, case_a):
     _, coeffs, eq = case_a
+    rep = analyze_spectrum(eq, coeffs)
     hist = simulate_module.HistorySpec(beta=0.9, lambda_=0.7)
 
     def run():
@@ -625,8 +667,8 @@ def test_input_errors_are_typed(site, case_a):
 
     calls = {
         "check_delay": lambda: check_delay(-1.0),
-        "j_max": lambda: analyze_spectrum(eq, coeffs, j_max=-1),
-        "jmax": lambda: _check_probe(-1, []),
+        "j_max": lambda: critical_delays(rep.coefficients, rep.omega0, -1),
+        "jmax": lambda: check_depth(1001),
         "t_end": lambda: simulate_module.simulate(coeffs, 0.05, hist, math.inf),
         "step_hint": lambda: simulate_module.simulate(coeffs, 0.05, hist, 10.0,
                                                       step_hint=0.0),
@@ -649,6 +691,7 @@ def test_input_errors_are_typed(site, case_a):
 @pytest.mark.parametrize("argv", [
     [], ["analyze"], ["sweep", "--start", "0", "--stop", "1", "--count", "abc"],
     ["simulate", "--tau", "0", "--t-end", "1", "--jmax", "3"],
+    ["sweep", "--start", "0", "--stop", "1", "--count", "3", "--jmax", "3"],
     ["analyze", "--no-such-option"]])
 def test_usage_error_exits_1(argv, config_a, tmp_path, capsys):
     if argv and argv != ["analyze"]:
@@ -660,7 +703,7 @@ def test_usage_error_exits_1(argv, config_a, tmp_path, capsys):
 
 
 def test_help_exits_0_and_lists_jmax_where_read(capsys):
-    for command, reads_jmax in (("analyze", True), ("sweep", True), ("simulate", False)):
+    for command, reads_jmax in (("analyze", True), ("sweep", False), ("simulate", False)):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0

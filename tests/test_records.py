@@ -20,9 +20,9 @@ RECORD_FIELDS = {
     spectral.CharCoefficients: ("p0", "r0", "q0"),
     spectral.HCase: ("tag", "discriminant", "roots", "note"),
     spectral.TransversalityReport: ("h_prime_z0", "D", "re_lambda_prime", "sign"),
-    spectral.SpectralReport: ("coefficients", "h_case", "stable_at_zero",
-                              "delay_independent", "omegas", "tau_ladders", "tau0",
-                              "tau_next", "omega0", "z0", "transversality"),
+    spectral.SpectralReport: ("coefficients", "h_case", "stable_at_zero", "omegas",
+                              "first_rungs", "tau0", "tau_next", "omega0", "z0",
+                              "transversality"),
     spectral.Verdict: ("kind", "interval", "report"),
     normal_form.HopfReport: ("c1_0", "mu2_bar", "beta2", "direction",
                              "orbit_stability", "period_estimate"),

@@ -24,7 +24,7 @@ from goodwin_delay.spectral import (
     verdict_at,
 )
 
-from helpers import CASE_A, brute_force_onset, rhp_root_count, sample_crossing_set
+from helpers import CASE_A, CASE_H6, brute_force_onset, rhp_root_count, sample_crossing_set
 
 
 def mp_char_coefficients(eq, coeffs):
@@ -38,6 +38,15 @@ def mp_char_coefficients(eq, coeffs):
         return (float(wd * le - gc * be),
                 float((d0 - wd) * gc * be * le),
                 float(d0 * r1 * be * le))
+
+
+def spectrum_of(p0, r0, q0):
+    """The spectral report of (p0, r0, q0), from subsystem coefficients at
+    beta_e = lambda_e = 1: p0 = wd - gc, r0 = (delta0 - wd) gc, q0 = delta0 rho1."""
+    gc, wd = 1.0, p0 + 1.0
+    coeffs = SubsystemCoefficients(variant="A", beta0=0.0, lambda0=0.0, delta0=r0 + wd,
+                                   growth_coupling=gc, wage_damping=wd, rho1=q0 / (r0 + wd))
+    return analyze_spectrum(Equilibrium(beta_e=1.0, lambda_e=1.0, interior=False), coeffs)
 
 
 class TestCoefficients:
@@ -279,16 +288,46 @@ class TestVerdicts:
         (-1.0, 0.1, 0.05, "H5", "unstable_at_zero"),
     ])
     def test_no_positive_root_is_delay_independent(self, p0, r0, q0, tag, kind):
-        # at beta_e = lambda_e = 1: p0 = wd - gc, r0 = (delta0 - wd) gc, q0 = delta0 rho1
-        gc, wd = 1.0, p0 + 1.0
-        coeffs = SubsystemCoefficients(variant="A", beta0=0.0, lambda0=0.0, delta0=r0 + wd,
-                                       growth_coupling=gc, wage_damping=wd,
-                                       rho1=q0 / (r0 + wd))
-        rep = analyze_spectrum(Equilibrium(beta_e=1.0, lambda_e=1.0, interior=False), coeffs)
+        rep = spectrum_of(p0, r0, q0)
         assert rep.h_case.tag == tag
-        assert rep.delay_independent and rep.omegas == () and rep.tau_ladders == ()
+        assert rep.omegas == () and rep.first_rungs == ()
         assert rep.tau0 is None and rep.transversality is None
         assert {verdict_at(rep, tau).kind for tau in (0.0, 0.5, 50.0)} == {kind}
+
+    @settings(max_examples=200, deadline=None)
+    @given(r0=st.floats(0.1, 4.0), q_frac=st.floats(0.1, 0.95),
+           q_sign=st.sampled_from([1, -1]), p_frac=st.floats(0.05, 0.95),
+           taus=st.lists(st.floats(0.0, 50.0), min_size=10, max_size=10))
+    def test_verdict_counts_crossings_both_ways(self, r0, q_frac, q_sign, p_frac, taus):
+        # H6 and stable at zero: 0 < p0^2 < 2 r0 - 2 sqrt(r0^2 - q0^2) and |q0| < r0;
+        q0 = q_sign * q_frac * r0
+        p0 = p_frac * math.sqrt(2 * r0 - 2 * math.sqrt(r0 * r0 - q0 * q0))
+        rep = spectrum_of(p0, r0, q0)
+        assert rep.h_case.tag == "H6" and rep.stable_at_zero
+        c = rep.coefficients
+        rungs = [t for w in rep.omegas for t in critical_delays(c, w, 30)]
+        for tau in taus:
+            if min(abs(tau - t) for t in rungs) < 1e-3 * max(1.0, tau):
+                continue  # too close to a crossing for the contour count
+            want = "unstable" if rhp_root_count(c.p0, c.r0, c.q0, tau) else "stable"
+            assert verdict_at(rep, tau).kind == want, (tau, rep)
+
+    @pytest.mark.parametrize("p0, r0, q0, tag", [(1.0, 0.0, 100.0, "H4"),
+                                                 (0.1, 100.0, 90.0, "H6")])
+    def test_delay_past_the_float_range_is_unstable(self, p0, r0, q0, tag):
+        # (tau - tau0) * omega0 overflows to inf: the rung count is past every switch
+        rep = spectrum_of(p0, r0, q0)
+        assert rep.h_case.tag == tag and rep.stable_at_zero
+        assert (1.7e308 - rep.tau0) * rep.omega0 / (2 * math.pi) == math.inf
+        assert verdict_at(rep, 1.7e308).kind == "unstable"
+
+    @pytest.mark.parametrize("tau, kind", [(2.0, "stable"), (5.0, "unstable"),
+                                           (10.0, "stable"), (15.0, "stable"),
+                                           (25.0, "unstable")])
+    def test_stability_switch_of_case_h6(self, tau, kind, analysis_json):
+        # rungs 3.6024 and 19.838 of the larger frequency bring a root pair in,
+        # 7.2788 and 27.682 of the smaller take it back out
+        assert analysis_json(CASE_H6, "--tau", str(tau))["spectral"]["verdict"] == kind
 
     def test_case_b_stable_at_zero(self, case_b_raw):
         p = validate_parameters(case_b_raw)
@@ -303,11 +342,12 @@ class TestVerdicts:
 
     def test_non_finite_tau_and_negative_depth_rejected(self, case_a):
         _, coeffs, eq = case_a
+        rep = analyze_spectrum(eq, coeffs)
+        c, omega = rep.coefficients, rep.omega0
         for j_max in (-1, 1001):  # the depth must lie in 0..MAX_LADDER_DEPTH
             with pytest.raises(ValueError):
-                analyze_spectrum(eq, coeffs, j_max=j_max)
-        assert len(analyze_spectrum(eq, coeffs, j_max=1000).tau_ladders[0]) == 1001
-        rep = analyze_spectrum(eq, coeffs)
+                critical_delays(c, omega, j_max)
+        assert len(critical_delays(c, omega, 1000)) == 1001
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 verdict_at(rep, tau)
@@ -316,22 +356,25 @@ class TestVerdicts:
     def test_depth_that_is_not_an_int_rejected(self, j_max, case_a):
         # 2.5 used to fail later in range(), and True built a 2-rung ladder
         _, coeffs, eq = case_a
+        rep = analyze_spectrum(eq, coeffs)
         with pytest.raises(InvalidInput):
-            analyze_spectrum(eq, coeffs, j_max=j_max)
+            critical_delays(rep.coefficients, rep.omega0, j_max)
 
     def test_interval_is_the_next_ladder_delay(self, case_a, case_b, analysis_json):
-        # the interval ends at the smallest ladder delay above tau0
+        # the interval ends at the smallest delay above tau0 on any ladder
         rng = np.random.default_rng(23)
         pairs = [case_a[1:], case_b[1:]] + [
             sample_crossing_set(rng, "AB"[i % 2], require_stable_at_zero=True)[1:3]
             for i in range(200)]
         for coeffs, eq in pairs:
-            for j_max in (0, 3):
-                rep = analyze_spectrum(eq, coeffs, j_max=j_max)
-                later = [t for l in rep.tau_ladders for t in l if t > rep.tau0]
-                want = (rep.tau0, min(later)) if later else None
-                assert rep.stable_at_zero
-                assert verdict_at(rep, 0.0).interval == want
+            rep = analyze_spectrum(eq, coeffs)
+            assert rep.first_rungs == tuple(critical_delays(rep.coefficients, w, 0)[0]
+                                            for w in rep.omegas)
+            later = [t for w in rep.omegas for t in critical_delays(rep.coefficients, w, 3)
+                     if t > rep.tau0]
+            want = (rep.tau0, min(later)) if later else None
+            assert rep.stable_at_zero
+            assert verdict_at(rep, 0.0).interval == want
         # analysis.json reports the interval, not tau_next
         assert "tau_next" not in analysis_json(CASE_A)["spectral"]
 
