@@ -153,8 +153,8 @@ def cmd_simulate(args) -> int:
     traj = simulate(coeffs, args.tau, HistorySpec(beta=b0, lambda_=l0),
                     args.t_end, step_hint=args.step)
     out = _outdir(args)
-    _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"],
-               ("%r,%r,%r\n" % row for row in zip(traj.times, traj.beta, traj.lambda_)))
+    rows = zip(map(traj.step.__rmul__, count()), traj.beta, traj.lambda_)  # t = k * step
+    _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"], ("%r,%r,%r\n" % r for r in rows))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -172,7 +172,8 @@ def cmd_simulate(args) -> int:
         if not traj.overflow:
             raise
         raise WindowTooShort("the state overflowed or turned non-finite: the run ends at t="
-                             f"{traj.times[-1]!r}, too early to classify") from None
+                             f"{(len(traj.beta) - 1) * traj.step!r}, too early to classify"
+                             ) from None
     extra = " (overflow: run truncated)" if traj.overflow else ""
     print(f"classification: {label}{extra}")
     try:
@@ -217,7 +218,7 @@ def cmd_sweep(args) -> int:
     if args.count < 1 or args.count > MAX_SWEEP_POINTS:
         raise ConstraintViolation("count", args.count,
                                   f"1 <= count <= {MAX_SWEEP_POINTS}")
-    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+    if not math.isfinite(args.stop - args.start):  # finite ends, and a grid step
         raise ConstraintViolation("range", (args.start, args.stop), "finite range")
     tau_axis = args.param == "tau"
     for tau in (args.start, args.stop) if tau_axis else (args.tau,):

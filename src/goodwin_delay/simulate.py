@@ -9,9 +9,9 @@ At tau = 0, m = 0 and rho1 joins the instantaneous coupling.
 
 X holds beta at t = (k - m) h for k = 0..m+n, the first m+1 entries being
 the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
-[X[k], X[k+1]], stored with X[k+1].  Step i reads X[i], M[i], X[i+1].
-X, M and L (lambda) are preallocated ``array('d')`` buffers, and X and L
-are trimmed in place into the trajectory's columns.
+[X[k], X[k+1]].  Step i reads X[i], M[i], X[i+1] and stores M[m+i], read
+m steps later, so M is a ring of m slots.  X, the ring and L (lambda) are
+``array('d')`` buffers, X and L trimmed in place into the two columns.
 
 The module needs only the standard library: the envelope, classification
 and period diagnostics work on the columns in plain floats, and every mean
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import (GridTooLarge, InvalidInput, NoOscillation, StepTooLarge,
@@ -31,8 +32,8 @@ from .model import SubsystemCoefficients
 from .spectral import check_delay
 
 OVERFLOW_LIMIT = 1e6
-# Cap on the grid slots m + n of one run: at about 24 bytes per slot at
-# the peak (the X, M and L buffers of 8-byte doubles), near 120 MB.
+# Cap on the grid slots m + n of one run: at 16 bytes per slot at the
+# peak (X and L, and the m-slot ring, of 8-byte doubles), near 80 MB.
 MAX_STEPS = 5_000_000
 
 
@@ -44,14 +45,18 @@ class HistorySpec(NamedTuple):
 
 
 class Trajectory(NamedTuple):
-    """Uniform-grid run from t = 0; the three columns are array('d')."""
+    """Uniform-grid run from t = k * step, k = 0, 1, ...; the columns are array('d')."""
 
-    times: array
     beta: array
     lambda_: array
     tau: float
     step: float
     overflow: bool = False
+
+    @property
+    def times(self) -> array:
+        """The times k * step as a new array on each access; the library never reads it."""
+        return array("d", map(self.step.__rmul__, range(len(self.beta))))
 
 
 def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
@@ -91,23 +96,20 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
                            f" {m} + {span:.3g} grid slots > MAX_STEPS={MAX_STEPS}")
     n = math.ceil(span)
 
-    b0, lam0, d0 = coeffs.beta0, coeffs.lambda0, coeffs.delta0
-    gc, wd = coeffs.growth_coupling, coeffs.wage_damping
+    _, b0, lam0, d0, gc, wd, rho1 = coeffs  # in SubsystemCoefficients' field order
     # lambda-equation coupling to beta(t) and to beta(t - tau)
-    gl, r1 = (gc, coeffs.rho1) if m else (gc + coeffs.rho1, 0.0)
+    gl, r1 = (gc, rho1) if m else (gc + rho1, 0.0)
     b, lam = history.beta, history.lambda_
     X = array("d", (b,)) * (m + n + 1)
-    M = array("d", (b,)) * (m + n)
     L = array("d", (lam,)) * (n + 1)
-    db = (b0 + gc * b - d0 * lam) * b  # beta derivative, for Hermite midpoints
+    ring = array("d", (b,)) * (size := m or 1)  # M[m + i] in slot i % m
+    db = (b0 + gc * b - d0 * lam) * b  # beta derivative: each step's k1, and its midpoint
 
-    overflow = False
-    limit = OVERFLOW_LIMIT
+    overflow, last, limit = False, n, OVERFLOW_LIMIT
     h2, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
-    last = n
-    # delayed terms come through iterators, as fast as list indexing (array
-    # indexing is not specialised); db is also each step's k1 for beta
-    nodes, mids = iter(X), iter(M)
+    # delayed terms come through iterators (array indexing is not specialised); at
+    # m = 0 each M[i] is read before it is stored, so every read is the history
+    nodes, mids = iter(X), chain.from_iterable(repeat(ring)) if m else repeat(b)
     rd1 = r1 * next(nodes)
     for i in range(n):
         rd0, rdm, rd1 = rd1, r1 * next(mids), r1 * next(nodes)
@@ -124,7 +126,7 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
         b_new = b + h6 * (db + 2.0 * (k2b + k3b) + k4b)
         lam = lam + h6 * (k1l + 2.0 * (k2l + k3l) + k4l)
         db_new = (b0 + gc * b_new - d0 * lam) * b_new
-        M[m + i] = 0.5 * (b + b_new) + h8 * (db - db_new)
+        ring[i % size] = 0.5 * (b + b_new) + h8 * (db - db_new)
         b, db = b_new, db_new
         X[m + i + 1], L[i + 1] = b, lam
         # written so that a NaN state fails it too
@@ -133,12 +135,8 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
             last = i + 1 if math.isfinite(b) and math.isfinite(lam) else i
             break
 
-    del M, mids, nodes  # free the midpoints; X and L become the columns in place
-    del X[m + last + 1:], X[:m], L[last + 1:]
-    # k * h has the bits of numpy's arange(n) * h
-    times = array("d", map(h.__rmul__, range(last + 1)))
-    return Trajectory(times=times, beta=X, lambda_=L,
-                      tau=tau, step=h, overflow=overflow)
+    del X[m + last + 1:], X[:m], L[last + 1:]  # X and L become the columns in place
+    return Trajectory(beta=X, lambda_=L, tau=tau, step=h, overflow=overflow)
 
 
 def _mean(x) -> float:
@@ -154,15 +152,15 @@ def _windows(traj: Trajectory, window: float | None) -> tuple[int, int]:
     a tenth of the run (0.0, too short, for a run of one row)."""
     default = window is None
     if default:
-        window = (traj.times[-1] - traj.times[0]) / 10.0
+        window = (len(traj.beta) - 1) * traj.step / 10.0
     elif not (math.isfinite(window) and window > 0):
         raise InvalidInput(f"window must be finite and positive, got {window!r}")
     steps = int(round(window / traj.step))
     if steps < 5:
-        raise WindowTooShort(f"a run of {len(traj.times) - 1} steps is too short to classify"
+        raise WindowTooShort(f"a run of {len(traj.beta) - 1} steps is too short to classify"
                              ": its default window, a tenth of the run, spans < 5 steps"
                              if default else f"window {window} spans {steps} < 5 steps")
-    nwin = len(traj.times) // steps
+    nwin = len(traj.beta) // steps
     if nwin == 0:
         raise WindowTooShort("trajectory shorter than one window")
     return steps, nwin
@@ -184,7 +182,8 @@ def amplitude_envelope(traj: Trajectory, window: float):
     the whole windows of WINDOW; a center is the mean of its window's times.
     """
     steps, nwin = _windows(traj, window)
-    centers = [_mean(traj.times[k:k + steps]) for k in range(0, nwin * steps, steps)]
+    centers = [_mean([j * traj.step for j in range(k, k + steps)])
+               for k in range(0, nwin * steps, steps)]
     return (centers, _peak_to_peak(traj.beta, steps, 0, nwin),
             _peak_to_peak(traj.lambda_, steps, 0, nwin))
 
@@ -218,15 +217,15 @@ def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     """Mean spacing of alternate mean-crossings of beta in the tail."""
     if not 0 < tail_fraction <= 1:
         raise InvalidInput(f"tail_fraction must be in (0, 1], got {tail_fraction!r}")
-    start = int(len(traj.times) * (1.0 - tail_fraction))
-    t, tail = traj.times, traj.beta[start:]
+    start = int(len(traj.beta) * (1.0 - tail_fraction))
+    h, tail = traj.step, traj.beta[start:]
     mean = _mean(tail) if len(tail) else 0.0
     # a loop over the deviations: as fast as a list of them, in O(1) memory
     crossings, x = [], map(mean.__rsub__, tail)
     x0 = next(x, 0.0)
     for i, x1 in enumerate(x, start):
         if x0 * x1 < 0:  # linear interpolation of the crossing time
-            crossings.append(t[i] + x0 / (x0 - x1) * (t[i + 1] - t[i]))
+            crossings.append(i * h + x0 / (x0 - x1) * ((i + 1) * h - i * h))
         x0 = x1
     if len(crossings) < 3:
         raise NoOscillation(f"{len(crossings)} mean-crossings in the tail, need >= 3")

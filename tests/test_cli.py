@@ -469,6 +469,22 @@ class TestSweep:
         lo, hi = min(start, stop), max(start, stop)
         assert all(lo <= v <= hi for v in grid)
 
+    @pytest.mark.parametrize("start, stop, count", [
+        ("-1e308", "1e308", "3"), ("1e308", "-1e308", "3"), ("-1e308", "1e308", "1"),
+        ("inf", "0", "2"), ("0", "nan", "2")])
+    def test_range_wider_than_the_floats_exits_1(self, start, stop, count, config_a,
+                                                 tmp_path, capsys):
+        # stop - start overflowed: the grid step was inf and the rows read
+        # nan, inf and 1e+308, values never asked for
+        out = tmp_path / "sw"
+        rc = main(["sweep", "--config", config_a, "--param", "delta", f"--start={start}",
+                   f"--stop={stop}", "--count", count, "--tau", "0.03", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: parameter range=") and err.count("\n") == 1
+        assert err.endswith(" violates finite range\n")
+        assert not (out / "sweep.csv").exists()
+
     def test_non_finite_fixed_tau_exits_1(self, config_a, tmp_path, capsys):
         out = tmp_path / "sw"
         rc = main(["sweep", "--config", config_a, "--param", "delta",
@@ -518,13 +534,28 @@ PINNED_SIMULATIONS = {
         "11338017d34bd8e7a9093a3970a7f3859b26d071b02d6ddcbc646e31a7854c60",
         "97f6b3625fdf1e265bb26f5dccc11dfadb1d11763d549f1d52d92e0eb4c7ec22",
         "33ba7f7980594265c833afa4da44fb3adb7ccb0c228e2d4cd4a0fb1e76fba94f")),
+    # tau = 0: m = 0, so no midpoint is ever read back
+    "A_tau0": (["--tau", "0", "--t-end", "500", "--init", "0.95,0.74"], (
+        "c3d480bc1728528931590b11ead70fd3d92ef05e60a9d651984b89d9d8630d4e",
+        "72897529ca9448e535bc9a0567a7bc96822af3c8e2dda754ed5d5e01f718fcdf",
+        "944f5aa6e07a4c3afdc0846b960cdd30b2cdeb3b47cc4623ddfc03fb24f114d4")),
+    "B_tau0.05": (["--variant", "B", "--tau", "0.05", "--t-end", "500"], (
+        "18ab06647fad8f61a86f11c9a8840a16e2e8dc0a71e23b081e410cd73404fb88",
+        "ae082fe9e95bbc4fc91c536d6027e58c9a0452994766c45c5ee131737c1e5800",
+        "cc9c87680f92dbace523f790f84a6838e29fc8a2c66afcd9584a2db8c7b6e8e4")),
+    # a step hint: m = 17 and h = 0.05/17, not the default m = 8
+    "A_step": (["--tau", "0.05", "--step", "0.003", "--t-end", "200"], (
+        "b93ac61734c8a20c73f10d118756459f3054e5f63b7c02791b763efa4400e9aa",
+        "b41517f981dcfeeac1e36ac589cb6ee0032c91fe05712341a55c9f97ec47b58b",
+        "41ba2ec0e2f51d90d21f9bf0ba18ef42105e7fa2e322514f94b888a7a0f6c13f")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_SIMULATIONS))
-def test_simulate_bytes_are_pinned(name, config_a, tmp_path, capsys):
+def test_simulate_bytes_are_pinned(name, config_a, config_b, tmp_path, capsys):
     args, digests = PINNED_SIMULATIONS[name]
-    assert main(["simulate", "--config", config_a, *args, "--out", str(tmp_path)]) == 0
+    config = config_b if name.startswith("B") else config_a
+    assert main(["simulate", "--config", config, *args, "--out", str(tmp_path)]) == 0
     data = [(tmp_path / "trajectory.csv").read_bytes(), (tmp_path / "run.json").read_bytes(),
             capsys.readouterr().out.encode()]
     assert tuple(hashlib.sha256(d).hexdigest() for d in data) == digests

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import struct
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import goodwin_delay.simulate as simulate_module
+from goodwin_delay.cli import main
 from goodwin_delay.errors import (GoodwinDelayError, GridTooLarge, InvalidInput,
                                   NoOscillation, StepTooLarge, WindowTooShort)
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
@@ -22,7 +24,7 @@ from goodwin_delay.simulate import (
 )
 from goodwin_delay.spectral import analyze_spectrum
 
-from helpers import (exact_mean, np_amplitude_envelope, np_classify_dynamics,
+from helpers import (CASE_A, exact_mean, np_amplitude_envelope, np_classify_dynamics,
                      np_oscillation_period, rk4_ode_reference)
 
 TAU0_A = 0.03484884438749684
@@ -263,27 +265,26 @@ class TestDiagnostics:
             amplitude_envelope(traj, window=50.0)
 
     def test_synthetic_period(self):
-        t = np.linspace(0.0, 100.0, 4001)
-        traj = Trajectory(times=t, beta=np.sin(2 * np.pi * t / 10.0) + 0.5,
-                          lambda_=np.zeros_like(t), tau=0.0,
-                          step=float(t[1] - t[0]))
+        t = np.arange(4001) * 0.025  # 0 to 100
+        traj = Trajectory(beta=np.sin(2 * np.pi * t / 10.0) + 0.5,
+                          lambda_=np.zeros_like(t), tau=0.0, step=0.025)
         assert oscillation_period(traj) == pytest.approx(10.0, abs=0.1)
 
     def test_no_oscillation(self):
-        t = np.linspace(0.0, 100.0, 1001)
-        traj = Trajectory(times=t, beta=np.exp(-0.1 * t),
-                          lambda_=np.zeros_like(t), tau=0.0,
-                          step=float(t[1] - t[0]))
+        t = np.arange(1001) * 0.1  # 0 to 100
+        traj = Trajectory(beta=np.exp(-0.1 * t), lambda_=np.zeros_like(t),
+                          tau=0.0, step=0.1)
         with pytest.raises(NoOscillation):
             oscillation_period(traj)
 
     def test_mean_overflow_is_typed(self):
-        # ten times and states of 1e308: the fsum of a window of times and of
-        # the tail of beta overflow, which was a bare OverflowError
+        # ten states of 1e308 and a step of 3e307: the fsum of a window of
+        # five times (3e308) and of the tail of beta overflow, which was a
+        # bare OverflowError
         big = array("d", [1e308]) * 10
-        traj = Trajectory(times=big, beta=big, lambda_=big, tau=0.0, step=1.0)
+        traj = Trajectory(beta=big, lambda_=big, tau=0.0, step=3e307)
         with pytest.raises(InvalidInput, match="overflows"):
-            amplitude_envelope(traj, window=5.0)
+            amplitude_envelope(traj, window=1.5e308)
         with pytest.raises(InvalidInput, match="overflows"):
             oscillation_period(traj)
 
@@ -304,6 +305,9 @@ def _least_float(pred, lo: float, hi: float) -> float:
 
 # each mean of a diagnostic is the exact sum, rounded once, divided by n
 EXACT_MEAN_SIZES = [*range(5, 10), *range(127, 131), 8191, 8192, 8193, 100_003]
+# the grid step of the exact-mean runs: the left-to-right sum of its times
+# k * 0.3 over n slots is not their exact mean at 5 of the 13 sizes above
+EXACT_MEAN_STEP = 0.3
 
 
 def _decades(n):
@@ -315,24 +319,24 @@ def _decades(n):
 
 @pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
 def test_envelope_centre_is_exact_mean(n):
-    # one window over all of the values as times: its center is their mean
-    values, zeros = _decades(n), array("d", bytes(8 * n))
+    # one window over all of the times k * h: its center is their mean
+    h, zeros = EXACT_MEAN_STEP, array("d", bytes(8 * n))
+    values = [k * h for k in range(n)]
     assert exact_mean(values) == float(sum(map(Fraction, values))) / n
-    traj = Trajectory(times=array("d", values), beta=zeros, lambda_=zeros,
-                      tau=0.0, step=1.0)
-    assert amplitude_envelope(traj, float(n))[0] == [exact_mean(values)]
+    traj = Trajectory(beta=zeros, lambda_=zeros, tau=0.0, step=h)
+    assert amplitude_envelope(traj, n * h)[0] == [exact_mean(values)]
 
 
 @pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
 def test_period_is_exact_mean(n):
-    # the values as both times and beta: the tail mean sets the crossings,
-    # and the period is the mean of the gaps between alternate ones
-    values = _decades(n)
-    v = array("d", values)
-    traj = Trajectory(times=v, beta=v, lambda_=v, tau=0.0, step=1.0)
+    # the values as beta at the times k * h: the tail mean sets the
+    # crossings, and the period is the mean of the gaps between alternate ones
+    values, h = _decades(n), EXACT_MEAN_STEP
+    v, t = array("d", values), [k * h for k in range(n)]
+    traj = Trajectory(beta=v, lambda_=v, tau=0.0, step=h)
     mean = exact_mean(values)
     x = [b - mean for b in values]
-    crossings = [values[i] + x[i] / (x[i] - x[i + 1]) * (values[i + 1] - values[i])
+    crossings = [t[i] + x[i] / (x[i] - x[i + 1]) * (t[i + 1] - t[i])
                  for i in range(n - 1) if x[i] * x[i + 1] < 0]
     gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
     if gaps:
@@ -351,8 +355,7 @@ def test_classification_turns_at_exact_mean(n):
     amp = [abs(a) for a in _decades(n)]
     amp.append(amp[0])
     beta = array("d", [c for a in amp for c in (0.0, a, 0.0, 0.0, 0.0)])
-    traj = Trajectory(times=array("d", range(len(beta))), beta=beta, lambda_=beta,
-                      tau=0.0, step=1.0)
+    traj = Trajectory(beta=beta, lambda_=beta, tau=0.0, step=1.0)
     mean = exact_mean([math.log((a1 + 1e-300) / (a0 + 1e-300))
                         for a0, a1 in zip(amp, amp[1:])])
     if mean > 0:  # 'growing' iff the mean exceeds log1p(tol)
@@ -375,16 +378,18 @@ def _peak_bytes(fn, *args):
 
 
 @pytest.mark.parametrize("tau, t_end, overflow", [
-    (0.02, 12.5, False), (0.0, 50.0, False), (0.05, 31.25, True)])
+    (0.02, 12.5, False), (0.0, 50.0, False), (0.05, 31.25, True),
+    (50.0, 50.0, False)])  # m = n = 5000: the ring is as long as the run
 def test_simulate_peak_memory_per_grid_slot(tau, t_end, overflow, case_a):
-    # three array('d') buffers of 8 bytes a slot, and nothing per step besides
+    # X over the m + n slots, L over the n and the ring over the m, each
+    # array('d') of 8 bytes a slot, and nothing per step besides
     _, coeffs, eq = case_a
     hist = HistorySpec(beta=50.0, lambda_=0.0) if overflow else perturbed_history(eq)
     traj, peak = _peak_bytes(simulate, coeffs, tau, hist, t_end)
     assert traj.overflow == overflow
     slots = round((tau + t_end) / traj.step)  # the history's m and the run's n
     assert slots >= 5_000
-    assert peak <= 32 * slots
+    assert peak <= 17 * slots
 
 
 def test_oscillation_period_peak_memory_per_row(case_a):
@@ -394,6 +399,29 @@ def test_oscillation_period_peak_memory_per_row(case_a):
     period, peak = _peak_bytes(oscillation_period, traj)
     assert period > 0
     assert peak <= 16 * len(traj.times)
+
+
+def test_library_and_cli_never_read_the_times(case_a, tmp_path, monkeypatch, capsys):
+    # Trajectory.times builds a whole column on each access: the times are k * step
+    def no_times(traj):
+        raise AssertionError("Trajectory.times was read")
+
+    _, coeffs, eq = case_a
+    traj = simulate(coeffs, 0.05, perturbed_history(eq), 100.0)
+    monkeypatch.setattr(Trajectory, "times", property(no_times))
+    with pytest.raises(AssertionError):
+        traj.times
+    config = tmp_path / "case_a.json"
+    config.write_text(json.dumps(CASE_A))
+    # the second overflows; the third overflows after one step, too early to classify
+    for init, code in (("0.95,0.74", 0), ("50,0", 0), ("1e5,0", 3)):
+        assert main(["simulate", "--config", str(config), "--tau", "0.05", "--t-end", "100",
+                     "--init", init, "--out", str(tmp_path)]) == code
+    out, err = capsys.readouterr()
+    assert "classification: growing" in out and "ends at t=0.00625," in err
+    assert len(amplitude_envelope(traj, 10.0)[0]) == 10
+    assert classify_dynamics(traj) == "growing"
+    assert oscillation_period(traj) > 0
 
 
 def _outcome(fn, *args):
