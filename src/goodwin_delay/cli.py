@@ -18,8 +18,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .errors import (ConfigError, ConstraintViolation, GoodwinDelayError, NoOscillation,
-                     WindowTooShort)
+from .errors import ConfigError, ConstraintViolation, GoodwinDelayError, NoOscillation
 from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coefficients,
                     validate_parameters)
 from .normal_form import hopf_analysis
@@ -166,14 +165,7 @@ def cmd_simulate(args) -> int:
         "parameters": {k: getattr(p, k) for k in PARAM_FIELDS},
     }
     _write_json(out / "run.json", sidecar)
-    try:
-        label = classify_dynamics(traj)
-    except WindowTooShort:
-        if not traj.overflow:
-            raise
-        raise WindowTooShort("the state overflowed or turned non-finite: the run ends at t="
-                             f"{(len(traj.beta) - 1) * traj.step!r}, too early to classify"
-                             ) from None
+    label = classify_dynamics(traj)
     extra = " (overflow: run truncated)" if traj.overflow else ""
     print(f"classification: {label}{extra}")
     try:

@@ -49,7 +49,6 @@ class Trajectory(NamedTuple):
 
     beta: array
     lambda_: array
-    tau: float
     step: float
     overflow: bool = False
 
@@ -136,7 +135,7 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
             break
 
     del X[m + last + 1:], X[:m], L[last + 1:]  # X and L become the columns in place
-    return Trajectory(beta=X, lambda_=L, tau=tau, step=h, overflow=overflow)
+    return Trajectory(beta=X, lambda_=L, step=h, overflow=overflow)
 
 
 def _mean(x) -> float:
@@ -152,14 +151,19 @@ def _windows(traj: Trajectory, window: float | None) -> tuple[int, int]:
     a tenth of the run (0.0, too short, for a run of one row)."""
     default = window is None
     if default:
-        window = (len(traj.beta) - 1) * traj.step / 10.0
+        end = (len(traj.beta) - 1) * traj.step
+        window = end / 10.0
     elif not (math.isfinite(window) and window > 0):
         raise InvalidInput(f"window must be finite and positive, got {window!r}")
     steps = int(round(window / traj.step))
     if steps < 5:
+        if not default:
+            raise WindowTooShort(f"window {window} spans {steps} < 5 steps")
+        if traj.overflow:
+            raise WindowTooShort("the state overflowed or turned non-finite: the run ends"
+                                 f" at t={end!r}, too early to classify")
         raise WindowTooShort(f"a run of {len(traj.beta) - 1} steps is too short to classify"
-                             ": its default window, a tenth of the run, spans < 5 steps"
-                             if default else f"window {window} spans {steps} < 5 steps")
+                             ": its default window, a tenth of the run, spans < 5 steps")
     nwin = len(traj.beta) // steps
     if nwin == 0:
         raise WindowTooShort("trajectory shorter than one window")

@@ -393,6 +393,7 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert all(r["c1_re"] for r in rows)
         for r in rows:
+            assert r["direction"] in ("supercritical", "subcritical", "inconclusive"), r
             for name, cell in r.items():
                 if name not in TEXT_COLUMNS and cell:
                     float(cell)
@@ -422,6 +423,12 @@ class TestSweep:
             got = list(r.values())[1:]
             assert got == [repr(v) if isinstance(v, float) else v for v in want]
         assert {r["verdict"] for r in rows} == {"stable", "unstable"}
+        # only tau and the verdict vary, and the verdict turns once, at tau0
+        assert len({tuple(v for k, v in r.items() if k not in ("tau", "verdict"))
+                    for r in rows}) == 1
+        tau0 = float(rows[0]["tau0"])
+        for r in rows:
+            assert r["verdict"] == ("stable" if float(r["tau"]) < tau0 else "unstable"), r
 
     def test_tau_sweep_inconsistent_psi_fills_every_row(self, config_psi, tmp_path):
         out = tmp_path / "sw"

@@ -27,7 +27,7 @@ RECORD_FIELDS = {
     normal_form.HopfReport: ("c1_0", "mu2_bar", "beta2", "direction",
                              "orbit_stability", "period_estimate"),
     simulate.HistorySpec: ("beta", "lambda_"),
-    simulate.Trajectory: ("beta", "lambda_", "tau", "step", "overflow"),
+    simulate.Trajectory: ("beta", "lambda_", "step", "overflow"),
 }
 
 

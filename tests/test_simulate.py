@@ -263,17 +263,22 @@ class TestDiagnostics:
             amplitude_envelope(traj, window=traj.step)
         with pytest.raises(WindowTooShort):
             amplitude_envelope(traj, window=50.0)
+        # a run that overflows after one step is too short for the default
+        # window, and the error says why the run is short
+        traj = simulate(coeffs, 0.05, HistorySpec(beta=1e5, lambda_=0.0), t_end=100.0)
+        with pytest.raises(WindowTooShort, match="^the state overflowed or turned"
+                           r" non-finite: the run ends at t=0\.00625, too early to classify$"):
+            classify_dynamics(traj)
 
     def test_synthetic_period(self):
         t = np.arange(4001) * 0.025  # 0 to 100
         traj = Trajectory(beta=np.sin(2 * np.pi * t / 10.0) + 0.5,
-                          lambda_=np.zeros_like(t), tau=0.0, step=0.025)
+                          lambda_=np.zeros_like(t), step=0.025)
         assert oscillation_period(traj) == pytest.approx(10.0, abs=0.1)
 
     def test_no_oscillation(self):
         t = np.arange(1001) * 0.1  # 0 to 100
-        traj = Trajectory(beta=np.exp(-0.1 * t), lambda_=np.zeros_like(t),
-                          tau=0.0, step=0.1)
+        traj = Trajectory(beta=np.exp(-0.1 * t), lambda_=np.zeros_like(t), step=0.1)
         with pytest.raises(NoOscillation):
             oscillation_period(traj)
 
@@ -282,7 +287,7 @@ class TestDiagnostics:
         # five times (3e308) and of the tail of beta overflow, which was a
         # bare OverflowError
         big = array("d", [1e308]) * 10
-        traj = Trajectory(beta=big, lambda_=big, tau=0.0, step=3e307)
+        traj = Trajectory(beta=big, lambda_=big, step=3e307)
         with pytest.raises(InvalidInput, match="overflows"):
             amplitude_envelope(traj, window=1.5e308)
         with pytest.raises(InvalidInput, match="overflows"):
@@ -323,7 +328,7 @@ def test_envelope_centre_is_exact_mean(n):
     h, zeros = EXACT_MEAN_STEP, array("d", bytes(8 * n))
     values = [k * h for k in range(n)]
     assert exact_mean(values) == float(sum(map(Fraction, values))) / n
-    traj = Trajectory(beta=zeros, lambda_=zeros, tau=0.0, step=h)
+    traj = Trajectory(beta=zeros, lambda_=zeros, step=h)
     assert amplitude_envelope(traj, n * h)[0] == [exact_mean(values)]
 
 
@@ -333,7 +338,7 @@ def test_period_is_exact_mean(n):
     # crossings, and the period is the mean of the gaps between alternate ones
     values, h = _decades(n), EXACT_MEAN_STEP
     v, t = array("d", values), [k * h for k in range(n)]
-    traj = Trajectory(beta=v, lambda_=v, tau=0.0, step=h)
+    traj = Trajectory(beta=v, lambda_=v, step=h)
     mean = exact_mean(values)
     x = [b - mean for b in values]
     crossings = [t[i] + x[i] / (x[i] - x[i + 1]) * (t[i + 1] - t[i])
@@ -355,7 +360,7 @@ def test_classification_turns_at_exact_mean(n):
     amp = [abs(a) for a in _decades(n)]
     amp.append(amp[0])
     beta = array("d", [c for a in amp for c in (0.0, a, 0.0, 0.0, 0.0)])
-    traj = Trajectory(beta=beta, lambda_=beta, tau=0.0, step=1.0)
+    traj = Trajectory(beta=beta, lambda_=beta, step=1.0)
     mean = exact_mean([math.log((a1 + 1e-300) / (a0 + 1e-300))
                         for a0, a1 in zip(amp, amp[1:])])
     if mean > 0:  # 'growing' iff the mean exceeds log1p(tol)
