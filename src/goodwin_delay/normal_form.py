@@ -32,13 +32,8 @@ from typing import NamedTuple
 from .errors import (DegenerateNormalization, NonFiniteCoefficient, ResidualCheckFailed,
                      SingularSystem, ZeroTransversality)
 from .model import Equilibrium, SubsystemCoefficients
-from .spectral import SpectralReport
+from .spectral import ROUNDING_TOL, SpectralReport, within_rounding
 
-LINEAR_RESIDUAL_TOL = 1e-12
-# Re c1(0) within this fraction of the magnitudes of the terms it is summed from
-# is inside the rounding of omega0, tau0, the solve and the dropped h11 term
-# (zero only to that accuracy): its sign, and so the direction, is inconclusive.
-RE_C1_ROUNDING_TOL = 1e-12
 # Stages of the former Hassard reduction, bound to nothing callable: the
 # benchmark's tracer (perfbench/tracing.py) still looks them up by name.
 eigen_pair = g_coefficients = solve_E1 = solve_E2 = None
@@ -54,17 +49,19 @@ class HopfReport(NamedTuple):
 
 
 def _check_solve(m00, m01, m10, m11, r0, r1, what: str) -> tuple:
-    """Solve [[m00, m01], [m10, m11]] x = (r0, r1) in closed form, guarded
-    by a scaled determinant test and a back-substitution residual test."""
+    """Solve [[m00, m01], [m10, m11]] x = (r0, r1) in closed form under relative guards."""
+    if cmath.isinf(r0) or cmath.isinf(r1):  # an overflow; a NaN is reported with c1(0)
+        raise OverflowError(f"{what}: right-hand side ({r0!r}, {r1!r})")
     det = m00 * m11 - m01 * m10
-    scale = max(1.0, max(abs(m00), abs(m01), abs(m10), abs(m11)) ** 2)
-    if abs(det) < 1e-12 * scale:
+    if within_rounding(det, abs(m00 * m11) + abs(m01 * m10), ROUNDING_TOL):
         raise SingularSystem(f"{what}: determinant {det!r}")
     x0 = (r0 * m11 - m01 * r1) / det
     x1 = (m00 * r1 - r0 * m10) / det
-    res = max(abs(m00 * x0 + m01 * x1 - r0), abs(m10 * x0 + m11 * x1 - r1))
-    if res > LINEAR_RESIDUAL_TOL * max(1.0, abs(r0), abs(r1)):
-        raise ResidualCheckFailed(f"{what}: residual {res!r}")
+    for u, v, r in ((m00 * x0, m01 * x1, r0), (m10 * x0, m11 * x1, r1)):
+        res, scale = abs(u + v - r), abs(u) + abs(v) + abs(r)
+        if res > ROUNDING_TOL * scale:  # false for NaN
+            raise ResidualCheckFailed(
+                f"{what}: residual {res!r} exceeds {ROUNDING_TOL}*(|m x| + |r|) = {scale!r}")
     return x0, x1
 
 
@@ -78,7 +75,9 @@ def lyapunov_quantities(c1: complex, c1_scale: float, omega: float,
     beta2 = 2.0 * c1.real
     if not all(map(math.isfinite, (c1.real, c1.imag, mu2_bar, beta2, c1_scale))):
         raise NonFiniteCoefficient(f"c1(0) = {c1!r}, mu2_bar = {mu2_bar!r}")
-    if abs(c1.real) <= RE_C1_ROUNDING_TOL * c1_scale:
+    # Re c1(0) zero to the rounding of omega0, tau0, the solve and the dropped h11
+    # term: its sign, and so the direction, is inconclusive
+    if within_rounding(c1.real, c1_scale, ROUNDING_TOL):
         direction = "inconclusive"
         orbit = "inconclusive"
     else:
@@ -107,7 +106,7 @@ def hopf_analysis(eq: Equilibrium, coeffs: SubsystemCoefficients,
         # p = (pb, 1) / n solves p Delta(i w) = 0 and p Delta'(i w) q = 1
         pb = -(1j * w + wd * le) / (d0 * be)
         n = pb + a + tau * r1 * le * em
-        if abs(n) < 1e-12:
+        if within_rounding(n, abs(pb) + abs(a) + abs(tau * r1 * le), ROUNDING_TOL):
             raise DegenerateNormalization(f"normalization denominator {n!r}")
         h0, h1 = _check_solve(2j * w - gc * be, d0 * be,
                               -(gc + r1 * em2) * le, 2j * w + wd * le,

@@ -22,9 +22,9 @@ from .errors import (AcosDomain, DegenerateCrossing, InvalidInput, NonFiniteCoef
 from .model import (Equilibrium, ModelParameters, SubsystemCoefficients, equilibrium,
                     subsystem_coefficients)
 
-DELTA_BOUNDARY_TOL = 1e-12  # discriminant == 0 resolution
-LADDER_RESIDUAL_TOL = 1e-9
-HOPF_CRITICAL_TOL = 1e-9
+ROUNDING_TOL = 1e-12  # of every zero-to-rounding test: see within_rounding
+LADDER_RESIDUAL_TOL = 1e-9  # looser, as omega*tau rounds too: 1.01e-12 at rung 1000
+HOPF_CRITICAL_TOL = 1e-9  # a rung within this fraction of tau is at tau
 MAX_LADDER_DEPTH = 1000  # deepest rung critical_delays builds; analyze's --jmax cap
 
 
@@ -47,7 +47,6 @@ class TransversalityReport(NamedTuple):
     h_prime_z0: float
     D: float
     re_lambda_prime: float
-    sign: int
 
 
 class SpectralReport(NamedTuple):
@@ -78,6 +77,13 @@ def char_coefficients(eq: Equilibrium, coeffs: SubsystemCoefficients) -> CharCoe
         r0=(coeffs.delta0 - wd) * gc * be * le,
         q0=coeffs.delta0 * coeffs.rho1 * be * le,
     )
+
+
+def within_rounding(x: complex, scale: float, tol: float) -> bool:
+    """Whether |x| <= TOL * SCALE, the sum of the magnitudes of the terms x is computed
+    from (Higham 2002, sec. 3.1): no change of unit moves it. A non-finite SCALE bounds
+    nothing, so an overflow is never zero."""
+    return abs(x) <= tol * scale < math.inf
 
 
 def stable_at_zero_delay(c: CharCoefficients) -> bool:
@@ -116,13 +122,13 @@ def classify_h(c: CharCoefficients) -> HCase:
         # sqrt(disc) > |a|: the + root is positive, the - root negative
         z = (-a + math.sqrt(disc)) / 2.0
         roots = (z,)
-    elif disc < -DELTA_BOUNDARY_TOL:
-        tag, roots = "H1", ()
-    elif disc <= DELTA_BOUNDARY_TOL:
+    elif within_rounding(disc, a * a + 4 * const, ROUNDING_TOL):
         if a < 0:
             tag, roots = "H3", (-a / 2.0,)
         else:
             tag, roots = "H2", ()
+    elif disc < 0:
+        tag, roots = "H1", ()
     else:
         # disc > 0, const >= 0
         if a < 0:
@@ -153,7 +159,8 @@ def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[
     if c.q0 == 0:
         raise AcosDomain("q0 = 0: no delayed term in the characteristic function")
     arg = (omega * omega - c.r0) / c.q0
-    if abs(arg) > 1.0 + 1e-12:
+    if abs(arg) > 1.0 and not within_rounding(
+            abs(arg) - 1.0, (omega * omega + abs(c.r0)) / abs(c.q0), ROUNDING_TOL):
         raise AcosDomain(f"arccos argument {arg!r} outside [-1, 1]")
     arg = min(1.0, max(-1.0, arg))
     base = math.acos(arg)
@@ -161,12 +168,12 @@ def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[
     if abs(c.q0 * math.sin(base) - c.p0 * omega) > abs(-c.q0 * math.sin(base) - c.p0 * omega):
         base = 2.0 * math.pi - base
     ladder = tuple((base + 2.0 * math.pi * j) / omega for j in range(j_max + 1))
+    scale = omega * omega + abs(c.p0) * omega + abs(c.r0) + abs(c.q0)
     for tau in ladder:
         res = char_residual(c, omega, tau)
-        if res > LADDER_RESIDUAL_TOL:
-            raise ResidualCheckFailed(
-                f"|P(i*{omega}; {tau})| = {res!r} exceeds {LADDER_RESIDUAL_TOL}"
-            )
+        if not within_rounding(res, scale, LADDER_RESIDUAL_TOL):
+            raise ResidualCheckFailed(f"|P(i*{omega}; {tau})| = {res!r} exceeds "
+                                      f"{LADDER_RESIDUAL_TOL}*(w^2+|p0|w+|r0|+|q0|) = {scale!r}")
     return ladder
 
 
@@ -174,14 +181,13 @@ def transversality(c: CharCoefficients, z0: float, omega0: float,
                    tau0: float) -> TransversalityReport:
     """Sign and value of d(Re x)/dtau at the crossing (omega0, tau0)."""
     hp = h_prime(c, z0)
-    if abs(hp) < 1e-12:
-        raise DegenerateCrossing(f"h'(z0) = {hp!r} within 1e-12 of zero")
+    if within_rounding(hp, 2 * z0 + abs(c.p0 ** 2 - 2 * c.r0), ROUNDING_TOL):
+        raise DegenerateCrossing(f"h'(z0) = {hp!r} within {ROUNDING_TOL}*(2z0+|p0^2-2r0|) of 0")
     wt = omega0 * tau0
     D = ((c.p0 * math.cos(wt) - 2 * omega0 * math.sin(wt) - c.q0 * tau0) ** 2
          + (c.p0 * math.sin(wt) + 2 * omega0 * math.cos(wt)) ** 2)
     re_lp = omega0 * omega0 * hp / D
-    return TransversalityReport(h_prime_z0=hp, D=D, re_lambda_prime=re_lp,
-                                sign=1 if hp > 0 else -1)
+    return TransversalityReport(h_prime_z0=hp, D=D, re_lambda_prime=re_lp)
 
 
 def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> SpectralReport:
@@ -194,16 +200,13 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> Spectral
     omegas = tuple(math.sqrt(z) for z in h.roots)  # descending, like the roots
     ladders = tuple(critical_delays(c, w, 1) for w in omegas)  # a rung and omega fix each
     k0 = min(range(len(omegas)), key=lambda k: ladders[k][0])
-    tau0 = ladders[k0][0]
+    tau0, omega0, z0 = ladders[k0][0], omegas[k0], h.roots[k0]
     tau_next = min([t for ladder in ladders for t in ladder if t > tau0], default=None)
-    omega0 = omegas[k0]
-    z0 = h.roots[k0]
-    tv = transversality(c, z0, omega0, tau0)
     return SpectralReport(
         coefficients=c, h_case=h, stable_at_zero=stable0, omegas=omegas,
         first_rungs=tuple(ladder[0] for ladder in ladders),
-        tau0=tau0, tau_next=tau_next, omega0=omega0, z0=z0, transversality=tv,
-    )
+        tau0=tau0, tau_next=tau_next, omega0=omega0, z0=z0,
+        transversality=transversality(c, z0, omega0, tau0))
 
 
 def check_delay(tau: float) -> None:
@@ -226,22 +229,20 @@ def verdict_at(report: SpectralReport, tau: float) -> Verdict:
     if report.tau0 is None:
         return Verdict(kind="stable_all_delays", interval=None, report=report)
     interval = None if report.tau_next is None else (report.tau0, report.tau_next)
-    # root pairs in the right half-plane at tau -+ HOPF_CRITICAL_TOL: each rung at or
-    # below brings one in at the larger frequency and takes one out at the smaller (H6)
+    # root pairs in the right half-plane at tau * (1 -+ HOPF_CRITICAL_TOL): each rung at
+    # or below brings one in at the larger frequency and takes one out at the smaller (H6)
     below = above = 0
     for sign, omega, rung in zip((1, -1), report.omegas, report.first_rungs):
-        turns = (tau + HOPF_CRITICAL_TOL - rung) * omega / (2.0 * math.pi)
+        turns = (tau * (1.0 + HOPF_CRITICAL_TOL) - rung) * omega / (2.0 * math.pi)
         if turns == math.inf:  # beyond the float range, tau is past every switch
             return Verdict(kind="unstable", interval=interval, report=report)
         if turns >= 0:  # rungs 0..floor(turns) lie at or below
             above += sign * (math.floor(turns) + 1)
-            turns = (tau - HOPF_CRITICAL_TOL - rung) * omega / (2.0 * math.pi)
-            if turns >= 0:
-                below += sign * (math.floor(turns) + 1)
-    if (below > 0) != (above > 0):
-        kind = "hopf_critical"
-    else:
-        kind = "unstable" if below > 0 else "stable"
+            turns = (tau * (1.0 - HOPF_CRITICAL_TOL) - rung) * omega / (2.0 * math.pi)
+            if turns > 0:  # rungs 0..ceil(turns)-1 lie below; a rung at tau = 0 is at tau
+                below += sign * math.ceil(turns)
+    kind = ("hopf_critical" if (below > 0) != (above > 0)
+            else "unstable" if below > 0 else "stable")
     return Verdict(kind=kind, interval=interval, report=report)
 
 

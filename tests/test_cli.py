@@ -311,7 +311,7 @@ class TestSweep:
     @pytest.mark.parametrize("changes, axis, outside", [
         ({}, ["--param", "gamma1", "--start", "0", "--stop", "0.6", "--count", "300",
               "--tau", "0.03"], 242),
-        # every row is a ResidualCheckFailed error row: counted though not written
+        # large-coefficient rows, valid as the guards scale with the coefficients
         ({}, ["--param", "a1", "--start", "1e4", "--stop", "1e7", "--count", "40",
               "--tau", "0.03", "--with-hopf"], 40),
         # the rows of a tau sweep share one equilibrium
@@ -679,14 +679,16 @@ def test_outside_equilibrium_is_one_plain_stderr_line(command, tmp_path, capsys)
 
 
 def test_outside_equilibrium_line_precedes_the_analysis_error(tmp_path, capsys):
-    # the equilibrium is reported before the spectrum fails its residual check
+    # the equilibrium is reported before the spectrum finds h(z) past the float range
     cfg = tmp_path / "outside.json"
-    cfg.write_text(json.dumps({**CASE_A, "a1": 9e5}))
+    cfg.write_text(json.dumps({**CASE_A, "a1": 1e150}))
     assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     warning, error = capsys.readouterr().err.splitlines(keepends=True)
     assert warning == (
-        "warning: equilibrium (889707.9232948085, 13413.370702936812) outside (0,1)^2\n")
-    assert error.startswith("analysis error: |P(i*") and error.endswith(" exceeds 1e-09\n")
+        "warning: equilibrium (9.885643472430133e+149, 1.4902980109191152e+148) "
+        "outside (0,1)^2\n")
+    assert error.startswith("analysis error: h(z) of p0=") and error.endswith(
+        " is not finite\n")
 
 
 @pytest.mark.parametrize("site", [

@@ -264,8 +264,9 @@ class TestSolveGuards:
 
     def test_residual_guard(self, case_a_pair, monkeypatch):
         coeffs, eq, rep, ep = case_a_pair
-        monkeypatch.setattr(normal_form, "LINEAR_RESIDUAL_TOL", -1.0)
-        with pytest.raises(ResidualCheckFailed, match=r"^h20: residual "):
+        monkeypatch.setattr(normal_form, "ROUNDING_TOL", -1.0)
+        with pytest.raises(ResidualCheckFailed,
+                           match=r"^h20: residual .* exceeds -1.0\*\(\|m x\| \+ \|r\|\) = "):
             hopf_analysis(eq, coeffs, rep)
 
 

@@ -19,7 +19,7 @@ RECORD_FIELDS = {
     model.Equilibrium: ("beta_e", "lambda_e", "interior", "lambda_star"),
     spectral.CharCoefficients: ("p0", "r0", "q0"),
     spectral.HCase: ("tag", "discriminant", "roots", "note"),
-    spectral.TransversalityReport: ("h_prime_z0", "D", "re_lambda_prime", "sign"),
+    spectral.TransversalityReport: ("h_prime_z0", "D", "re_lambda_prime"),
     spectral.SpectralReport: ("coefficients", "h_case", "stable_at_zero", "omegas",
                               "first_rungs", "tau0", "tau_next", "omega0", "z0",
                               "transversality"),

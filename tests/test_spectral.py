@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -6,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goodwin_delay import spectral
 from goodwin_delay.errors import (AcosDomain, DegenerateCrossing, InvalidInput,
-                                  NonFiniteCoefficient)
-from goodwin_delay.model import Equilibrium, SubsystemCoefficients, validate_parameters
+                                  NonFiniteCoefficient, ResidualCheckFailed)
+from goodwin_delay.model import (PARAM_FIELDS, Equilibrium, SubsystemCoefficients,
+                                 equilibrium, subsystem_coefficients, validate_parameters)
+from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import (
+    HOPF_CRITICAL_TOL,
     CharCoefficients,
     analyze_spectrum,
     char_coefficients,
@@ -24,7 +29,8 @@ from goodwin_delay.spectral import (
     verdict_at,
 )
 
-from helpers import CASE_A, CASE_H6, brute_force_onset, rhp_root_count, sample_crossing_set
+from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, rhp_root_count,
+                     sample_crossing_set)
 
 
 def mp_char_coefficients(eq, coeffs):
@@ -201,6 +207,13 @@ class TestCriticalDelays:
                 for tau in critical_delays(c, omega, j_max=2):
                     assert char_residual(c, omega, tau) < 1e-9
 
+    def test_residual_guard_names_its_bound(self, case_a, monkeypatch):
+        _, coeffs, eq = case_a
+        monkeypatch.setattr(spectral, "LADDER_RESIDUAL_TOL", 1e-300)
+        with pytest.raises(ResidualCheckFailed,
+                           match=r" exceeds 1e-300\*\(w\^2\+\|p0\|w\+\|r0\|\+\|q0\|\) = "):
+            analyze_spectrum(eq, coeffs)
+
     def test_reflected_branch(self):
         # p0 < 0 forces sin(omega*tau) < 0, i.e. the 2*pi - arccos branch
         c = CharCoefficients(p0=-0.05, r0=0.0, q0=0.5)
@@ -226,7 +239,6 @@ class TestTransversality:
         rep = analyze_spectrum(eq, coeffs)
         assert rep.transversality.h_prime_z0 == pytest.approx(0.991515, abs=1e-5)
         assert rep.transversality.re_lambda_prime > 0
-        assert rep.transversality.sign == 1
 
     def test_case_b_always_positive(self, case_b):
         # with r0 = 0 the auxiliary quadratic has a single positive root
@@ -242,7 +254,8 @@ class TestTransversality:
         c = CharCoefficients(p0=0.2, r0=0.5, q0=0.3)
         # z0 = -(p0^2 - 2 r0)/2 makes h' vanish identically
         z0 = (2 * c.r0 - c.p0 ** 2) / 2.0
-        with pytest.raises(DegenerateCrossing):
+        with pytest.raises(DegenerateCrossing,
+                           match=r"within 1e-12\*\(2z0\+\|p0\^2-2r0\|\) of 0$"):
             transversality(c, z0, math.sqrt(z0), 1.0)
 
     def test_matches_finite_difference_of_root(self, case_a):
@@ -320,6 +333,17 @@ class TestVerdicts:
         assert rep.h_case.tag == tag and rep.stable_at_zero
         assert (1.7e308 - rep.tau0) * rep.omega0 / (2 * math.pi) == math.inf
         assert verdict_at(rep, 1.7e308).kind == "unstable"
+
+    def test_critical_band_is_relative_to_tau(self, case_a):
+        _, coeffs, eq = case_a
+        rep = analyze_spectrum(eq, coeffs)
+        for tau, kind in [(rep.tau0, "hopf_critical"), (rep.tau0 * (1 - 1e-8), "stable"),
+                          (rep.tau0 * (1 + 1e-8), "unstable")]:
+            assert verdict_at(rep, tau).kind == kind
+        # the band has no width at tau = 0, where a rung is still at tau
+        rep = rep._replace(first_rungs=(0.0,), tau0=0.0)
+        assert verdict_at(rep, 0.0).kind == "hopf_critical"
+        assert verdict_at(rep, 1e-300).kind == "unstable"
 
     @pytest.mark.parametrize("tau, kind", [(2.0, "stable"), (5.0, "unstable"),
                                            (10.0, "stable"), (15.0, "stable"),
@@ -409,3 +433,49 @@ class TestAgainstArgumentPrinciple:
             onset = brute_force_onset(c.p0, c.r0, c.q0, rep.tau0 * 1.5 + 0.1)
             assert onset == pytest.approx(rep.tau0, abs=1e-3)
             checked += 1
+
+
+# fields in units of 1/time: multiplying them by k measures time in units 1/k as long
+RATES = ("mu1", "nu1", "nu2", "n", "gamma1", "gamma2", "a1", "a2", "b1", "delta")
+
+
+def rescaled(raw, variant, k):
+    """Equilibrium, spectrum and Hopf report of RAW with every rate multiplied by K."""
+    p = validate_parameters({f: v * k if f in RATES else v for f, v in raw.items()})
+    coeffs = subsystem_coefficients(p, variant)
+    eq = equilibrium(coeffs, p)
+    rep = analyze_spectrum(eq, coeffs)
+    return eq, rep, hopf_analysis(eq, coeffs, rep)
+
+
+class TestTimeUnit:
+    """A change of time unit is a symmetry of the model: the results scale with it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_k=st.floats(-6.0, 6.0), variant=st.sampled_from("AB"), sampled=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_change_of_time_unit_changes_no_result(self, log_k, variant, sampled, seed):
+        raw = CASE_A if variant == "A" else CASE_B
+        if sampled:
+            p = sample_crossing_set(np.random.default_rng(seed), variant)[0]
+            raw = {f: getattr(p, f) for f in PARAM_FIELDS}
+        k = 10.0 ** log_k
+        eq, rep, hopf = rescaled(raw, variant, 1.0)
+        eq_k, rep_k, hopf_k = rescaled(raw, variant, k)
+        assert eq_k.beta_e == pytest.approx(eq.beta_e, rel=1e-12)
+        assert eq_k.lambda_e == pytest.approx(eq.lambda_e, rel=1e-12)
+        assert rep_k.h_case.tag == rep.h_case.tag
+        assert rep_k.omega0 / k == pytest.approx(rep.omega0, rel=1e-12)
+        # a rung is arccos(arg)/omega: near arg = +-1 its relative error grows as
+        # the rounding of arg over omega*tau*|sin(omega*tau)|
+        tol = {rung: 1e-12 + 8 * sys.float_info.epsilon / (w * rung * abs(math.sin(w * rung)))
+               for w, rung in zip(rep.omegas, rep.first_rungs)}
+        assert k * rep_k.tau0 == pytest.approx(rep.tau0, rel=tol[rep.tau0])
+        assert abs(hopf_k.c1_0 - hopf.c1_0) <= (tol[rep.tau0] + 1e-10) * abs(hopf.c1_0)
+        assert hopf_k.direction == hopf.direction
+        # mu2_bar is left out: it scales as 1/k^2 where mu2 of Hassard et al. scales as 1/k
+        probes = [0.0] + [rung * (1.0 + s * max(1e-6, 16 * tol[rung]))
+                          for rung in rep.first_rungs for s in (-1, 1)]
+        probes += [rung for rung in rep.first_rungs if tol[rung] < HOPF_CRITICAL_TOL / 4]
+        for tau in probes:
+            assert verdict_at(rep_k, tau / k).kind == verdict_at(rep, tau).kind, tau
