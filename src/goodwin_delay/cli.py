@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--t-end", dest="t_end", type=float, required=True)
-    sp.add_argument("--step", type=float, default=None, help="step hint")
+    sp.add_argument("--step", type=float, default=None,
+                    help="bound on the step, not a node count (default 0.01)")
     sp.add_argument("--init", default=None,
                     help="initial state 'beta,lambda' (default: equilibrium - 0.05)")
     sp.set_defaults(func=cmd_simulate)

@@ -91,10 +91,6 @@ class ZeroTransversality(GoodwinDelayError):
     """Re lambda'(tau_k) is zero; bifurcation direction is undefined."""
 
 
-class StepTooLarge(SimulationError):
-    """Requested step resolves the delay interval with fewer than 4 nodes."""
-
-
 class GridTooLarge(SimulationError):
     """The delay, horizon and step need more grid slots than MAX_STEPS."""
 

@@ -1,11 +1,13 @@
 """Constant-delay time integration by the method of steps.
 
-One RK4 kernel serves every delay tau >= 0.  The step is tied to the
-delay (h = tau/m), so the delayed beta at a step's ends is a grid node,
-and at its midpoint the cubic Hermite interpolant of the stored (state,
-derivative) history, which keeps the scheme fourth order (Bellen &
-Zennaro, Numerical Methods for Delay Differential Equations, OUP 2003).
-At tau = 0, m = 0 and rho1 joins the instantaneous coupling.
+One RK4 kernel serves every delay tau >= 0.  The step is the largest
+h = tau/m, m = ceil(tau/h_max), within the bound h_max (0.01, or the
+step hint), so the delayed beta at a step's ends is a grid node, and at
+its midpoint the cubic Hermite interpolant of the stored (state,
+derivative) history, which keeps the scheme fourth order in h for any
+m >= 1 (Bellen & Zennaro, Numerical Methods for Delay Differential
+Equations, OUP 2003).  At tau = 0, m = 0, h = h_max and rho1 joins the
+instantaneous coupling.
 
 X holds beta at t = (k - m) h for k = 0..m+n, the first m+1 entries being
 the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
@@ -26,8 +28,7 @@ from array import array
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from .errors import (GridTooLarge, InvalidInput, NoOscillation, StepTooLarge,
-                     WindowTooShort)
+from .errors import GridTooLarge, InvalidInput, NoOscillation, WindowTooShort
 from .model import SubsystemCoefficients
 from .spectral import check_delay
 
@@ -59,16 +60,14 @@ class Trajectory(NamedTuple):
 
 
 def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
-    if tau == 0.0:
-        return 0, step_hint or 0.01
-    if step_hint is None:
-        m = max(8, math.ceil(tau / 0.01 - 1e-12))
-    else:
-        m = math.ceil(tau / step_hint - 1e-12)
-        if m < 4:
-            raise StepTooLarge(
-                f"step {step_hint} resolves the delay {tau} with m={m} < 4 nodes")
-    return m, tau / m
+    """The fewest steps m >= 1 a delay with h = tau/m <= h_max, and h; (0, h_max) at tau = 0."""
+    h_max = step_hint or 0.01
+    nodes = tau / h_max - 1e-12
+    if nodes > MAX_STEPS:  # checked before the ceiling, which an infinite quotient has not
+        raise GridTooLarge(f"tau={tau} with steps of at most {h_max} needs {nodes:.3g}"
+                           f" history slots > MAX_STEPS={MAX_STEPS}")
+    m = max(1, math.ceil(nodes)) if tau else 0
+    return m, tau / m if m else h_max
 
 
 def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,

@@ -265,7 +265,7 @@ class TestVectorField:
         # delayed beta lies on the history
         _, c, _ = case_a
         tau = 0.05
-        h = tau / 8
+        h = tau / 5
 
         def field(b, l):
             return ((c.beta0 + c.growth_coupling * b - c.delta0 * l) * b,

@@ -12,7 +12,7 @@ import pytest
 import goodwin_delay.simulate as simulate_module
 from goodwin_delay.cli import main
 from goodwin_delay.errors import (GoodwinDelayError, GridTooLarge, InvalidInput,
-                                  NoOscillation, StepTooLarge, WindowTooShort)
+                                  NoOscillation, WindowTooShort)
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.simulate import (
     HistorySpec,
@@ -98,11 +98,13 @@ class TestIntegrator:
                           t_end=20.0)
         assert np.all(np.asarray(traj_l.lambda_) == 0.0)
 
-    def test_step_too_large(self, case_a):
+    def test_step_hint_above_the_delay_is_one_node(self, case_a):
+        # a hint bounds the step: at or above tau the grid has m = 1 node a delay
         _, coeffs, eq = case_a
-        with pytest.raises(StepTooLarge):
-            simulate(coeffs, 0.05, perturbed_history(eq), t_end=1.0,
-                     step_hint=0.05)  # m = 1 < 4
+        for step_hint in (0.05, 0.08, 1e3):
+            traj = simulate(coeffs, 0.05, perturbed_history(eq), t_end=1.0,
+                            step_hint=step_hint)
+            assert traj.step == 0.05 and len(traj.beta) == 21
         with pytest.raises(ValueError):
             simulate(coeffs, 0.05, perturbed_history(eq), t_end=1.0,
                      step_hint=-0.01)
@@ -149,7 +151,7 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             simulate(coeffs, **kwargs)
 
-    @pytest.mark.parametrize("tau, slots", [(0.0, 50_000), (0.05, 8 + 80_000)])
+    @pytest.mark.parametrize("tau, slots", [(0.0, 50_000), (0.05, 5 + 50_000)])
     def test_grid_cap(self, tau, slots, case_a, monkeypatch):
         # the default grid to t_end = 500 has m + n slots, checked before
         # any buffer exists
@@ -162,10 +164,18 @@ class TestIntegrator:
         assert len(traj.times) == slots - round(tau / traj.step) + 1
 
     def test_step_underflow_is_an_unbounded_grid(self, case_a):
-        # tau / 8 rounds to 0.0, so no finite grid reaches t_end
+        # the step is tau itself (m = 1), and t_end / 5e-324 is inf, so no
+        # finite grid reaches t_end
         _, coeffs, eq = case_a
         with pytest.raises(GridTooLarge):
             simulate(coeffs, 5e-324, perturbed_history(eq), t_end=1.0)
+
+    @pytest.mark.parametrize("tau, step_hint", [(1e307, None), (1e300, 1e-10)])
+    def test_delay_overflow_is_an_unbounded_grid(self, tau, step_hint, case_a):
+        # tau / h_max overflows to inf, which has no integer ceiling
+        _, coeffs, eq = case_a
+        with pytest.raises(GridTooLarge, match="history slots > MAX_STEPS"):
+            simulate(coeffs, tau, perturbed_history(eq), t_end=1.0, step_hint=step_hint)
 
     @pytest.mark.parametrize("coeff_case", ["case_a", "case_b"])
     def test_zero_delay_matches_ode_rk4(self, coeff_case, request):
@@ -187,15 +197,29 @@ class TestIntegrator:
         b = simulate(coeffs, TAU0_A, hist, t_end=30.0, step_hint=TAU0_A / 16)
         assert abs(a.beta[-1] - b.beta[-1]) < 1e-9
 
+    @pytest.mark.parametrize("tau", [0.02, 0.035, 0.06])
+    def test_default_step_error_is_set_by_h(self, tau, case_a):
+        # the default grid has m = 2, 4 and 6 nodes a delay, all at h <= 0.01:
+        # at t = floor(T/tau) tau it agrees with an m = 64 run to O(h^4), not
+        # to the error of a coarse m (measured: at most 5.2e-9)
+        _, coeffs, eq = case_a
+        hist, t_end = perturbed_history(eq), 450.0
+        run = simulate(coeffs, tau, hist, t_end)
+        ref = simulate(coeffs, tau, hist, t_end, step_hint=tau / 64)
+        m, k = round(tau / run.step), math.floor(t_end / tau)
+        assert run.step <= 0.01 and ref.step == tau / 64
+        for got, want in ((run.beta, ref.beta), (run.lambda_, ref.lambda_)):
+            assert abs(got[k * m] - want[k * 64]) < 1e-7
+
 
 # sha256 of the times, beta and lambda_ bytes: a change to any of them is an
 # output format change and must be documented
 PINNED_DIGESTS = {
-    "A_tau0.05": "c8d6c3a901b4b3e21a0a490fbcdf75f5c25a73ed26536ff16aa0b09e192e0ca7",
-    "B_tau0.05": "d88f0b1324291e1265e2bde12322d60159c3c184473fd2cf46a046aa0cf64cae",
+    "A_tau0.05": "75396090bb2b200a4a081b51b88908e9205b13e141e577a8ff435ec368bdb43b",
+    "B_tau0.05": "ed05875b3bb256aa7ed5e49d56c90e585de507f13c5d7f4e6a190eb0948b18e3",
     "A_tau0_step16": "3b6e8775e0d17404dabfae98b9c1a005e56146604cc1bf1e8a2c4794c3e4e315",
-    "A_overflow": "0d9c76ae870c7b23f848391e0b7c12310cc514ff261826f95bd75910113b3ab5",
-    "A_axis_beta0": "b3aa55077db164f22d1afb6a60719a8e6b389d58a468f7e5c3908aa6a8cd5656",
+    "A_overflow": "dd04c83719cc778395e204eabd60becd7fa5697e0738e15b534eaf2a3222be22",
+    "A_axis_beta0": "994e1fc1f033b27e07ea227207e7f8b37be49bf6fbd352aba037fabdf8401c0f",
     "B_tau0": "4330fb36567078a063568ce78e74c4da6b83d0c6d053a2ea106dde11f41b277d",
 }
 
@@ -267,7 +291,7 @@ class TestDiagnostics:
         # window, and the error says why the run is short
         traj = simulate(coeffs, 0.05, HistorySpec(beta=1e5, lambda_=0.0), t_end=100.0)
         with pytest.raises(WindowTooShort, match="^the state overflowed or turned"
-                           r" non-finite: the run ends at t=0\.00625, too early to classify$"):
+                           r" non-finite: the run ends at t=0\.01, too early to classify$"):
             classify_dynamics(traj)
 
     def test_synthetic_period(self):
@@ -383,7 +407,7 @@ def _peak_bytes(fn, *args):
 
 
 @pytest.mark.parametrize("tau, t_end, overflow", [
-    (0.02, 12.5, False), (0.0, 50.0, False), (0.05, 31.25, True),
+    (0.02, 50.0, False), (0.0, 50.0, False), (0.05, 50.0, True),
     (50.0, 50.0, False)])  # m = n = 5000: the ring is as long as the run
 def test_simulate_peak_memory_per_grid_slot(tau, t_end, overflow, case_a):
     # X over the m + n slots, L over the n and the ring over the m, each
@@ -423,7 +447,7 @@ def test_library_and_cli_never_read_the_times(case_a, tmp_path, monkeypatch, cap
         assert main(["simulate", "--config", str(config), "--tau", "0.05", "--t-end", "100",
                      "--init", init, "--out", str(tmp_path)]) == code
     out, err = capsys.readouterr()
-    assert "classification: growing" in out and "ends at t=0.00625," in err
+    assert "classification: growing" in out and "ends at t=0.01," in err
     assert len(amplitude_envelope(traj, 10.0)[0]) == 10
     assert classify_dynamics(traj) == "growing"
     assert oscillation_period(traj) > 0
