@@ -4,7 +4,11 @@ Exit codes: 0 success, 1 configuration error, 2 analysis-precondition
 failure, 3 simulation failure; each error class carries its own
 (errors.py).  This module alone renders output, from the library's records,
 with shortest round-trip float formatting, so identical configs produce
-byte-identical outputs.
+byte-identical outputs.  A sweep over a model parameter splits its rows
+across the CPUs this process may run on, in forked children, and its
+sweep.csv, stdout and stderr are the same bytes for any CPU count; a tracer
+that wraps the library's functions in this process sees the calls of the
+first chunk of rows only.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -29,6 +34,11 @@ from .spectral import (analyze_spectrum, check_delay, check_depth, critical_dela
 EXIT_OK = 0  # a failure exits with its error class's exit_code
 
 MAX_SWEEP_POINTS = 1_000_000
+# The fewest rows a sweep process takes: about 35 ms of work at ~70 us a row,
+# against about 2 ms to fork and reap a child and copy its rows back, so a
+# split pays only when every process has that much to do.
+ROWS_PER_WORKER = 500
+COPY_BUFFER = 8192  # bytes per read of a child's rows: the size of io's own buffers
 SWEEP_COLUMNS = ["beta_e", "lambda_e", "p0", "r0", "q0", "h_case", "tau0", "verdict"]
 HOPF_COLUMNS = ["c1_re", "c1_im", "mu2_bar", "beta2", "direction", "orbit_stability"]
 # the HOPF_COLUMNS values of a HopfReport, in order
@@ -45,11 +55,11 @@ def _write_json(path: Path, doc: dict) -> None:
                     encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], lines) -> None:
-    """Write the header and then LINES, each a formatted row ending in a newline."""
+def _write_csv(path: Path, header: list[str], write):
+    """Write the header line to PATH, then what WRITE(fh) writes; return its result."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+        return write(fh)
 
 
 def _load_params(args):
@@ -144,7 +154,10 @@ def cmd_simulate(args) -> int:
     if not eq.interior:
         _warn_outside(eq)
     if args.init is not None:
-        b0, l0 = (float(x) for x in args.init.split(","))
+        try:
+            b0, l0 = map(float, args.init.split(","))
+        except ValueError:  # a wrong number of values, or one that is not a float
+            raise ConfigError(f"--init must be 'beta,lambda', got {args.init!r}") from None
     else:
         # repo convention: the reference figures never state their start
         b0, l0 = eq.beta_e - 0.05, eq.lambda_e - 0.05
@@ -153,7 +166,8 @@ def cmd_simulate(args) -> int:
                     args.t_end, step_hint=args.step)
     out = _outdir(args)
     rows = zip(map(traj.step.__rmul__, count()), traj.beta, traj.lambda_)  # t = k * step
-    _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"], ("%r,%r,%r\n" % r for r in rows))
+    _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"],
+               lambda fh: fh.writelines("%r,%r,%r\n" % r for r in rows))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -203,6 +217,93 @@ def _grid(args):
     return chain((args.start + i * step for i in range(args.count - 1)), (args.stop,))
 
 
+def _workers(args) -> int:
+    """How many processes share a sweep's rows: one per CPU this process may
+    run on, with ROWS_PER_WORKER rows or more each.  A tau axis, whose rows
+    share one analysis, and a platform without fork or affinity take one."""
+    if args.param == "tau" or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), args.count // ROWS_PER_WORKER))
+
+
+def _copy(fd: int, write) -> None:
+    """Pass what is left to read of FD to WRITE, COPY_BUFFER bytes at a time."""
+    while block := os.read(fd, COPY_BUFFER):
+        write(block)
+
+
+def _child(write_chunk, lo: int, hi: int, rows_fd: int, reply_fd: int):
+    """In a forked child: write rows lo..hi-1 to ROWS_FD and reply on REPLY_FD
+    with write_chunk's count, or with '!' and the message of an error that
+    main reports as a config error.  Exits 0 once it has replied, else 1."""
+    code = 1
+    try:
+        try:
+            with open(rows_fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+                reply = b"%d" % write_chunk(fh, lo, hi)
+        except (OSError, ValueError) as exc:
+            reply = b"!" + str(exc).encode()
+        with open(reply_fd, "wb") as pipe:
+            pipe.write(reply)
+        code = 0
+    except Exception:  # a fault: show it; the parent reports a chunk without a reply
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(code)
+
+
+def _write_chunks(fh, out: Path, rows: int, workers: int, write_chunk) -> int:
+    """Write rows 0..ROWS-1 to FH in WORKERS contiguous chunks; return the sum
+    of write_chunk(fh, lo, hi) over them.  This process writes chunk 0 to FH; a
+    forked child writes each later one to an unnamed file in OUT, copied to FH
+    after the child exits, in row order, so the first failure in row order is
+    the one raised, as in one process.  Every child is reaped on every path."""
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    children = []  # (pid, lo, hi, reply pipe, rows file), in row order, not yet reaped
+    fds = []       # the descriptors this process must close
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            path = out / f".sweep.csv.{os.getpid()}.{lo}"  # unlinked once open
+            fds.append(rows_fd := os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600))
+            os.unlink(path)
+            reply_r, reply_w = os.pipe()
+            fds.append(reply_r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(write_chunk, lo, hi, rows_fd, reply_w)
+            finally:
+                os.close(reply_w)  # so the pipe ends when the child does
+            children.append((pid, lo, hi, reply_r, rows_fd))
+        total = write_chunk(fh, 0, bounds[1])
+        fh.flush()  # the children's rows go straight to the binary buffer
+        while children:
+            pid, lo, hi, reply_r, rows_fd = children[0]
+            reply = bytearray()
+            _copy(reply_r, reply.extend)  # to the end of the pipe: the child has exited
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if not reply:
+                raise ChildProcessError(
+                    f"the process writing sweep rows {lo}..{hi - 1} ended without a"
+                    f" result (exit status {os.waitstatus_to_exitcode(status)})")
+            if reply.startswith(b"!"):
+                raise OSError(reply[1:].decode())
+            total += int(reply)
+            os.lseek(rows_fd, 0, os.SEEK_SET)
+            _copy(rows_fd, fh.buffer.write)
+        return total
+    finally:
+        if children:  # the sweep failed or was interrupted: stop the rest
+            import signal  # only here, so that no sweep that succeeds imports it
+            for pid, *_ in children:
+                os.kill(pid, signal.SIGKILL)
+            for pid, *_ in children:
+                os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 def cmd_sweep(args) -> int:
     p = _load_params(args)  # config-grade errors surface before the sweep
     if args.param != "tau" and args.param not in PARAM_FIELDS:
@@ -216,7 +317,7 @@ def cmd_sweep(args) -> int:
     for tau in (args.start, args.stop) if tau_axis else (args.tau,):
         check_delay(tau)  # a tau grid lies between its ends
     out = _outdir(args)
-    tally = count()  # of the outside equilibria, reported in one line
+    tally = count()  # of this process's outside equilibria
 
     def analysis_at(value):
         """The row's (eq, report, hopf), or its error; a tau axis analyzes P as is."""
@@ -226,15 +327,23 @@ def cmd_sweep(args) -> int:
         except GoodwinDelayError as exc:
             return exc
 
-    header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
     if tau_axis:  # only the verdict depends on tau: analyze and format once
         row = _sweep_row(analysis_at(None), args.with_hopf)
-        lines = (row(tau, tau) for tau in _grid(args))
-    else:
-        lines = (_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau)
-                 for v in _grid(args))
-    _write_csv(out / "sweep.csv", header, lines)  # each row as it is formatted
-    outside = next(tally) * (args.count if tau_axis else 1)  # a tau sweep analyzes once
+
+    def write_chunk(fh, lo, hi):
+        """Write rows lo..hi-1, each as it is formatted, and return how many have
+        an equilibrium outside (0,1)^2.  A process writes one chunk, so TALLY
+        counts that chunk alone; the rows of a tau axis share one analysis."""
+        values = islice(_grid(args), lo, hi)
+        if tau_axis:
+            fh.writelines(row(tau, tau) for tau in values)
+            return next(tally) * (hi - lo)
+        fh.writelines(_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau) for v in values)
+        return next(tally)
+
+    header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
+    outside = _write_csv(out / "sweep.csv", header, lambda fh: _write_chunks(
+        fh, out, args.count, _workers(args), write_chunk))
     print(f"wrote {args.count} rows to {out / 'sweep.csv'}")
     if outside:
         print(f"{outside} rows have an equilibrium outside (0,1)^2", file=sys.stderr)

@@ -91,10 +91,6 @@ def stable_at_zero_delay(c: CharCoefficients) -> bool:
     return c.p0 > 0 and c.r0 + c.q0 > 0
 
 
-def h_value(c: CharCoefficients, z: float) -> float:
-    return z * z + (c.p0 ** 2 - 2 * c.r0) * z + c.r0 ** 2 - c.q0 ** 2
-
-
 def h_prime(c: CharCoefficients, z: float) -> float:
     return 2 * z + c.p0 ** 2 - 2 * c.r0
 

@@ -55,6 +55,12 @@ def winding_number(f, pts, max_refine=40):
     raise RuntimeError("winding number did not converge")
 
 
+def h_value(c, z):
+    """h(z) at z = omega^2, from its definition: a root on the imaginary axis,
+    P(i omega) = 0, needs |r0 - omega^2 + i p0 omega| = |q0|, that is h = 0."""
+    return abs(complex(c.r0 - z, c.p0 * math.sqrt(z))) ** 2 - c.q0 ** 2
+
+
 def rhp_root_count(p0, r0, q0, tau):
     """Number of roots of x^2 + p0 x + r0 + q0 e^(-x tau) with Re x > 0."""
     def P(x):

@@ -44,6 +44,29 @@ def config_b(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def split_rows(monkeypatch):
+    """split(n) makes a parameter sweep of 10 rows or more split its rows
+    across n processes, as on n CPUs, and returns a list that each fork of
+    the calling process appends to."""
+    fork = os.fork
+
+    def split(n):
+        forks = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(n) or fork())
+        monkeypatch.setattr(cli, "ROWS_PER_WORKER", 10)
+        return forks
+    return split
+
+
+def assert_no_children_left(out):
+    """Every child is reaped and OUT holds no file but sweep.csv."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(out) == ["sweep.csv"]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -243,6 +266,8 @@ class TestSimulate:
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "inf"), ("--tau", "inf"), ("--init", "nan,nan"),
         ("--t-end", "nan"), ("--step", "nan"),
+        # were "too many values to unpack" and "not enough values to unpack"
+        ("--init", "1,2,3"), ("--init", "0.9"),
     ])
     def test_non_finite_input_exits_1(self, flag, value, config_a, tmp_path,
                                       capsys):
@@ -253,6 +278,8 @@ class TestSimulate:
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+        if flag == "--init" and value != "nan,nan":  # the wrong number of values
+            assert err[0] == f"config error: --init must be 'beta,lambda', got {value!r}"
         assert not out.exists()
 
     @pytest.mark.parametrize("step", ["--step=0", "--step=-0.01"])
@@ -515,13 +542,74 @@ PINNED_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SWEEPS))
-def test_sweep_bytes_are_pinned(name, config_a, config_b, tmp_path):
+@pytest.mark.parametrize("name, workers", [
+    *(pytest.param(name, 1, id=name) for name in sorted(PINNED_SWEEPS)),
+    *(pytest.param(name, 3, id=f"{name}-3_workers") for name in sorted(PINNED_SWEEPS)),
+])
+def test_sweep_bytes_are_pinned(name, workers, split_rows, config_a, config_b, tmp_path):
     args, digest = PINNED_SWEEPS[name]
     config = config_b if name.endswith("B") else config_a
-    assert main(["sweep", "--config", config, *args, "--out", str(tmp_path)]) == 0
-    data = (tmp_path / "sweep.csv").read_bytes()
+    forks = split_rows(workers)
+    assert main(["sweep", "--config", config, *args, "--out", str(tmp_path / "sw")]) == 0
+    data = (tmp_path / "sw" / "sweep.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+    # a tau axis formats its rows from one analysis, in one process
+    assert len(forks) == (0 if name.startswith("tau") else workers - 1)
+    assert_no_children_left(tmp_path / "sw")
+
+
+@pytest.mark.parametrize("axis", [
+    # most rows lie outside (0,1)^2: each process counts its own
+    ["--param", "gamma1", "--start", "0", "--stop", "0.6", "--count", "300"],
+    # crosses constraint edges: error rows in more than one chunk
+    ["--param", "s_pi", "--start", "0.01", "--stop", "1.2", "--count", "301", "--with-hopf"],
+], ids=["gamma1", "s_pi"])
+def test_sweep_output_does_not_depend_on_the_workers(axis, split_rows, config_a, tmp_path,
+                                                     capsys):
+    out = tmp_path / "sw"
+    runs = []
+    for workers in (1, 2, 3):
+        forks = split_rows(workers)
+        assert main(["sweep", "--config", config_a, *axis, "--tau", "0.03",
+                     "--out", str(out)]) == 0
+        assert len(forks) == workers - 1
+        assert_no_children_left(out)
+        runs.append(((out / "sweep.csv").read_bytes(), *capsys.readouterr()))
+    assert runs[0][2].endswith(" rows have an equilibrium outside (0,1)^2\n")
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("row, exc", [
+    (15, OSError), (5, OSError), (15, KeyboardInterrupt), (5, KeyboardInterrupt)],
+    ids=["child_error", "parent_error", "child_interrupt", "parent_interrupt"])
+def test_sweep_failure_reaps_every_child(row, exc, split_rows, config_a, tmp_path, capsys,
+                                         monkeypatch):
+    # 30 rows in 3 processes: rows 0..9 in this one, 10..19 and 20..29 in children
+    value = 3.5 + row * ((5.0 - 3.5) / 29)  # the grid's value of ROW
+    replace_field = cli.replace_field
+
+    def fail_at_row(p, name, v):
+        if v == value:
+            raise exc(f"row {row} cannot be written")
+        return replace_field(p, name, v)
+
+    monkeypatch.setattr(cli, "replace_field", fail_at_row)
+    forks = split_rows(3)
+    out = tmp_path / "sw"
+    argv = ["sweep", "--config", config_a, "--param", "delta", "--start", "3.5", "--stop", "5",
+            "--count", "30", "--tau", "0.03", "--out", str(out)]
+    if exc is KeyboardInterrupt and row < 10:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        # an interrupted child is a chunk without a result; any other error is
+        # reported as in one process
+        want = (f"row {row} cannot be written" if exc is OSError else
+                "the process writing sweep rows 10..19 ended without a result (exit status 1)")
+        assert capsys.readouterr() == ("", f"config error: {want}\n")
+    assert len(forks) == 2
+    assert_no_children_left(out)
 
 
 # sha256 of simulate's trajectory.csv, run.json and stdout on case A
@@ -639,7 +727,18 @@ def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):
                          "--with-hopf", "--out", out]) == 0
         assert cli.main(["simulate", "--config", a, "--tau", "0.05",
                          "--t-end", "20", "--out", out]) == 0
-        assert "numpy" not in sys.modules, "numpy imported"
+        # a parameter sweep split across three processes
+        import os
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        os.sched_getaffinity = lambda pid: {0, 1, 2}
+        cli.ROWS_PER_WORKER = 10
+        assert cli.main(["sweep", "--config", a, "--param", "delta", "--start", "3.5",
+                         "--stop", "5", "--count", "61", "--tau", "0.03",
+                         "--with-hopf", "--out", out]) == 0
+        assert len(forks) == 2
+        for name in ("numpy", "multiprocessing", "concurrent.futures"):
+            assert name not in sys.modules, name + " imported"
     """)
     src = str(Path(goodwin_delay.__file__).resolve().parents[1])
     env = dict(os.environ)

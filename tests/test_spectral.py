@@ -22,14 +22,13 @@ from goodwin_delay.spectral import (
     classify_h,
     critical_delays,
     h_prime,
-    h_value,
     stability_verdict,
     stable_at_zero_delay,
     transversality,
     verdict_at,
 )
 
-from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, rhp_root_count,
+from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, h_value, rhp_root_count,
                      sample_crossing_set)
 
 
