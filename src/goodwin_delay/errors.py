@@ -64,7 +64,7 @@ class InconsistentPsi(GoodwinDelayError):
 
 
 class AcosDomain(GoodwinDelayError):
-    """Arccos argument outside [-1, 1] beyond tolerance."""
+    """No crossing phase: omega <= 0 or q0 = 0."""
 
 
 class NonFiniteCoefficient(GoodwinDelayError):

@@ -65,13 +65,14 @@ def _check_solve(m00, m01, m10, m11, r0, r1, what: str) -> tuple:
     return x0, x1
 
 
-def lyapunov_quantities(c1: complex, c1_scale: float, omega: float,
+def lyapunov_quantities(c1: complex, c1_scale: float, omega: float, tau0: float,
                         re_lambda_prime: float) -> HopfReport:
     """Orbit classification from c1(0), where C1_SCALE is the magnitude of
-    the terms Re c1(0) is summed from."""
+    the terms Re c1(0) is summed from.  c1(0) is in time rescaled by TAU0 and
+    Re lambda'(tau0) in original time, so mu2_bar = -Re c1(0)/(tau0 Re lambda')."""
     if re_lambda_prime == 0.0:
         raise ZeroTransversality("Re lambda'(tau_k) = 0")
-    mu2_bar = -c1.real / re_lambda_prime
+    mu2_bar = -c1.real / (tau0 * re_lambda_prime)
     beta2 = 2.0 * c1.real
     if not all(map(math.isfinite, (c1.real, c1.imag, mu2_bar, beta2, c1_scale))):
         raise NonFiniteCoefficient(f"c1(0) = {c1!r}, mu2_bar = {mu2_bar!r}")
@@ -119,7 +120,7 @@ def hopf_analysis(eq: Equilibrium, coeffs: SubsystemCoefficients,
         c1 = k * (pb * (t0 - t1) + t2 - t3 + t4 + t5)
         c1_scale = abs(k) * (abs(pb) * (abs(t0) + abs(t1))
                              + abs(t2) + abs(t3) + abs(t4) + abs(t5))
-        return lyapunov_quantities(c1, c1_scale, w,
+        return lyapunov_quantities(c1, c1_scale, w, tau,
                                    report.transversality.re_lambda_prime)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteCoefficient(

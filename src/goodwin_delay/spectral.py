@@ -145,24 +145,15 @@ def classify_h(c: CharCoefficients) -> HCase:
 def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[float, ...]:
     """Delay ladder tau^j, j = 0..j_max, at one crossing frequency.
 
-    The principal arccos branch assumes sin(omega*tau) = p0*omega/q0 >= 0;
-    when the sine consistency check prefers the reflected branch
-    (reachable for p0 < 0 in sweeps), 2*pi - arccos(...) is used instead.
+    The phase omega*tau^0 in [0, 2*pi) is the angle of
+    (cos, sin) = ((omega^2 - r0)/q0, p0*omega/q0), which P(i*omega; tau) = 0 fixes.
     """
     check_depth(j_max)
     if omega <= 0:
         raise AcosDomain("omega must be positive")
     if c.q0 == 0:
         raise AcosDomain("q0 = 0: no delayed term in the characteristic function")
-    arg = (omega * omega - c.r0) / c.q0
-    if abs(arg) > 1.0 and not within_rounding(
-            abs(arg) - 1.0, (omega * omega + abs(c.r0)) / abs(c.q0), ROUNDING_TOL):
-        raise AcosDomain(f"arccos argument {arg!r} outside [-1, 1]")
-    arg = min(1.0, max(-1.0, arg))
-    base = math.acos(arg)
-    # sin(2*pi - base) = -sin(base): pick the branch matching p0*omega = q0*sin
-    if abs(c.q0 * math.sin(base) - c.p0 * omega) > abs(-c.q0 * math.sin(base) - c.p0 * omega):
-        base = 2.0 * math.pi - base
+    base = math.atan2(c.p0 * omega / c.q0, (omega * omega - c.r0) / c.q0) % (2.0 * math.pi)
     ladder = tuple((base + 2.0 * math.pi * j) / omega for j in range(j_max + 1))
     scale = omega * omega + abs(c.p0) * omega + abs(c.r0) + abs(c.q0)
     for tau in ladder:

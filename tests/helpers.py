@@ -1,11 +1,12 @@
 """Independent numerical oracles used by the test suite.
 
 Everything here deliberately avoids the code paths under test: root
-counting goes through the argument principle, projection coefficients
-through finite differences, linear solves through high-precision mpmath
-LU, the quadratic terms through polarizing the vector field, the first
-Lyapunov coefficient through the Hassard W-function reduction and through
-the amplitude drift of a simulated run.
+counting goes through the argument principle, the crossing phase through a
+200-bit arccos, projection coefficients through finite differences, linear
+solves through high-precision mpmath LU, the quadratic terms through
+polarizing the vector field, the first Lyapunov coefficient through the
+Hassard W-function reduction and through the amplitude drift of a
+simulated run.
 """
 
 import cmath
@@ -59,6 +60,26 @@ def h_value(c, z):
     """h(z) at z = omega^2, from its definition: a root on the imaginary axis,
     P(i omega) = 0, needs |r0 - omega^2 + i p0 omega| = |q0|, that is h = 0."""
     return abs(complex(c.r0 - z, c.p0 * math.sqrt(z))) ** 2 - c.q0 ** 2
+
+
+def mp_first_rungs(c):
+    """tau^0 of each crossing frequency, descending, at 200 bits from the float p0, r0
+    and q0: omega^2 is re-solved as a root of h, so ((omega^2 - r0)/q0, p0 omega/q0)
+    lies on the unit circle, and the phase is its arccos, reflected where the sine
+    is negative."""
+    with mp.workprec(200):
+        p0, r0, q0 = map(mp.mpf, c)
+        a = p0 ** 2 - 2 * r0
+        root = mp.sqrt(a * a - 4 * (r0 ** 2 - q0 ** 2))
+        rungs = []
+        for z in ((-a + root) / 2, (-a - root) / 2):
+            if z > 0:
+                omega = mp.sqrt(z)
+                phase = mp.acos((z - r0) / q0)
+                if p0 * omega / q0 < 0:
+                    phase = 2 * mp.pi - phase
+                rungs.append(float(phase / omega))
+        return tuple(rungs)
 
 
 def rhp_root_count(p0, r0, q0, tau):

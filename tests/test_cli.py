@@ -528,17 +528,17 @@ class TestSweep:
 PINNED_SWEEPS = {
     "tau_B": (["--variant", "B", "--param", "tau", "--start", "0",
                "--stop", "0.1", "--count", "101", "--with-hopf"],
-              "7c8bbfc02ecc11212b2536fb1df737df4faa4d76536278c2ce0f8488abf78a21"),
+              "cb6bec24d5b17f4a191e25335352413e8557aab09a42220f537f09b676b96baa"),
     "delta_A": (["--param", "delta", "--start", "3.5", "--stop", "5",
                  "--count", "101", "--tau", "0.03", "--with-hopf"],
-                "cbe788cb6fbea1c24a46f0ff4994c4cdd3d88179302436f54ae64b9339fb0235"),
+                "428a28a3705bc6f7ace77c111022921b7ddcff48574bfe3869ec40ad78d01113"),
     # both re-derive g/rho0/rho1 per row and cross constraint edges
     # its last row reads 1.2, not 1.1999999999999997, since the grid ends at stop
     "s_pi_A": (["--param", "s_pi", "--start", "0.01", "--stop", "1.2",
                 "--count", "301", "--tau", "0.03", "--with-hopf"],
-               "77fbab3c75687b8174112945eeea8cc840ddd39301200ec70818ebb0af1dd05c"),
+               "e5d61184d36a97dd120d5fac0967dec891ba037cef07dd5ecf970cb458738b5b"),
     "a3_A": (["--param", "a3", "--start", "0.5", "--stop", "1.2", "--count", "301"],
-             "b9a806a515a9e240172dc055db208917fefd26c6867d7d69d15eb33fc62d61e1"),
+             "115264b8e4897c7a412f27bc74a60930d05294b959445a1328803bac818c0a9d"),
 }
 
 
@@ -653,17 +653,17 @@ def test_simulate_bytes_are_pinned(name, config_a, config_b, tmp_path, capsys):
 # sha256 of analyze's analysis.json, stdout and stderr
 PINNED_ANALYSES = {
     "A_tau0.05": (CASE_A, ["--tau", "0.05"], (
-        "5d8aa5c4a28bd79e98d0167bea9dca32c66dcd697d044edc914d8044f1e5f267",
-        "ef8ab726b60fcc231bc34633e24c9982263efdbcca54a496d4337aadab53d98d",
+        "045edcb77758baf8c7d94607d9ca5c815de0746732b7261f4d256ff8db746fa0",
+        "11de439545982fa68e1af166712a9301429e464e0757a2f02347056469b996d4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
     "B": (CASE_B, ["--variant", "B"], (
-        "aef54c6fadbfc5e90571d36712898caf2f07285eea71645cfdb2001e6d48e9c7",
-        "811a983b914f6c8f626929924e24fc45c6fdf98b176fbd194f09767d0ca38e1e",
+        "ebfd5bdf8f0efd9babca5d4c6a9b16aef0c0432f40c3ed27b1c7adb36d8bdd95",
+        "d1ebf4a68c7ac3d2d339d251adec153a4e6d7d86ed0c4bb19e59776b468b8756",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
     # the equilibrium lies outside (0,1)^2: one warning line on stderr
     "A_outside": ({**CASE_A, "gamma1": 0.5}, [], (
-        "74af5262098607c192cc136f1d0b53e4daa6d73b17228ed69ebd7d29f5558097",
-        "b61feafe391251a514804efac48e1856b989b56726df8525f6b3894a01c9660b",
+        "58935dcc28a6c4ff1bc69f668cf4030e0737b3f7d06247e4023bed8827a9cb88",
+        "65a0ad5054d0b527df0bd27c40979b5ab349ca43024bc2a0dcc8d3a4c6ecb832",
         "db6c439c8c54aaa3490cb2e35a572fadc85a1470b4c7fe1f35840adb44d0f4ff")),
     # H1, stable or unstable at every delay: no crossing and "hopf": null
     "A_H1": ({**CASE_A, "gamma2": 3.0}, [], (

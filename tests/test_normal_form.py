@@ -42,8 +42,8 @@ from helpers import (
 )
 
 # full-precision values of the characteristic-matrix reduction
-C1_REF = 1.2801195366549939e-05 - 0.01287742939503829j
-C1_REF_B = 1.1177770406613928e-06 - 0.007102836932252431j
+C1_REF = 1.2801195366567369e-05 - 0.012877429395038812j
+C1_REF_B = 1.1177770405873871e-06 - 0.007102836932249089j
 
 # Case A's fields jittered and rounded to 4 digits.  Along a2, Re c1(0)
 # changes sign near 0.6533 while the crossing (omega0*tau0 near 0.2036) moves
@@ -368,23 +368,24 @@ class TestLyapunov:
 
     def test_degenerate_c1_inconclusive(self):
         for c1, scale in ((0j, 0.0), (1e-13 - 1.0j, 1.0)):
-            rep = lyapunov_quantities(c1, scale, omega=1.0, re_lambda_prime=0.5)
+            rep = lyapunov_quantities(c1, scale, omega=1.0, tau0=1.0, re_lambda_prime=0.5)
             assert rep.direction == "inconclusive"
             assert rep.orbit_stability == "inconclusive"
         # only Re c1(0) sets the direction, however large Im c1(0) is
-        rep = lyapunov_quantities(1e-11 - 1.0j, 1.0, omega=1.0, re_lambda_prime=0.5)
+        rep = lyapunov_quantities(1e-11 - 1.0j, 1.0, omega=1.0, tau0=1.0, re_lambda_prime=0.5)
         assert rep.direction == "subcritical"
         assert rep.orbit_stability == "unstable"
 
     def test_zero_transversality_guard(self):
         with pytest.raises(ZeroTransversality):
-            lyapunov_quantities(0.1 + 0.1j, 1.0, omega=1.0, re_lambda_prime=0.0)
+            lyapunov_quantities(0.1 + 0.1j, 1.0, omega=1.0, tau0=1.0, re_lambda_prime=0.0)
 
     @pytest.mark.parametrize("variant, overrides, message", [
         # rho1 is near 8e307, so the h20 matrix's scale squares past the float range
         ("B", {"a2": 8.5e307}, "overflows or divides by zero"),
-        # tau0 = 0 exactly: c1(0) is reported in time rescaled by tau0
-        ("A", {"nu1": 0.0, "n": 0.0, "gamma1": 0.0, "delta": 1e-19},
+        # p0 = nu2*lambda_e - gamma2*beta_e rounds to 0, so the crossing phase is 0
+        # and tau0 = 0 exactly: c1(0) is reported in time rescaled by tau0
+        ("A", {"gamma2": 0.0, "nu2": 5e-324, "nu1": 0.3},
          "overflows or divides by zero"),
         # alpha is infinite: h20 and c1(0) come out NaN without raising
         ("A", {"nu2": 1e-29, "a2": 1e288, "delta": 1e-92}, r"c1\(0\) = \(nan"),

@@ -1,10 +1,9 @@
 import math
-import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodwin_delay import spectral
@@ -14,7 +13,6 @@ from goodwin_delay.model import (PARAM_FIELDS, Equilibrium, SubsystemCoefficient
                                  equilibrium, subsystem_coefficients, validate_parameters)
 from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import (
-    HOPF_CRITICAL_TOL,
     CharCoefficients,
     analyze_spectrum,
     char_coefficients,
@@ -28,8 +26,8 @@ from goodwin_delay.spectral import (
     verdict_at,
 )
 
-from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, h_value, rhp_root_count,
-                     sample_crossing_set)
+from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, h_value, mp_first_rungs,
+                     rhp_root_count, sample_crossing_set)
 
 
 def mp_char_coefficients(eq, coeffs):
@@ -214,22 +212,37 @@ class TestCriticalDelays:
             analyze_spectrum(eq, coeffs)
 
     def test_reflected_branch(self):
-        # p0 < 0 forces sin(omega*tau) < 0, i.e. the 2*pi - arccos branch
+        # p0 < 0 forces sin(omega*tau) < 0: the phase lies in (pi, 2*pi)
         c = CharCoefficients(p0=-0.05, r0=0.0, q0=0.5)
         h = classify_h(c)
         omega = math.sqrt(h.roots[0])
         ladder = critical_delays(c, omega)
         assert char_residual(c, omega, ladder[0]) < 1e-9
-        assert math.sin(omega * ladder[0]) < 0
+        assert math.pi < omega * ladder[0] < 2.0 * math.pi
 
     def test_acos_domain_guard(self):
         c = CharCoefficients(p0=0.0, r0=5.0, q0=0.1)
-        with pytest.raises(AcosDomain):
+        # omega = 3 solves no h(omega^2) = 0: no delay puts a root at 3i
+        with pytest.raises(ResidualCheckFailed):
             critical_delays(c, 3.0)
         with pytest.raises(AcosDomain):
             critical_delays(c, -1.0)
         with pytest.raises(AcosDomain):
             critical_delays(CharCoefficients(0.1, 0.0, 0.0), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(variant=st.sampled_from("AB"), seed=st.integers(0, 2 ** 32 - 1))
+    @example(variant="H6", seed=0)  # both rungs of case H6
+    def test_first_rungs_match_a_200_bit_phase(self, variant, seed):
+        if variant == "H6":
+            p = validate_parameters(dict(CASE_H6))
+            coeffs = subsystem_coefficients(p, "A")
+            eq = equilibrium(coeffs, p)
+        else:
+            _, coeffs, eq, _, _ = sample_crossing_set(np.random.default_rng(seed), variant)
+        rep = analyze_spectrum(eq, coeffs)
+        assert rep.first_rungs == pytest.approx(mp_first_rungs(rep.coefficients),
+                                                rel=2e-15, abs=0.0)
 
 
 class TestTransversality:
@@ -465,16 +478,19 @@ class TestTimeUnit:
         assert eq_k.lambda_e == pytest.approx(eq.lambda_e, rel=1e-12)
         assert rep_k.h_case.tag == rep.h_case.tag
         assert rep_k.omega0 / k == pytest.approx(rep.omega0, rel=1e-12)
-        # a rung is arccos(arg)/omega: near arg = +-1 its relative error grows as
-        # the rounding of arg over omega*tau*|sin(omega*tau)|
-        tol = {rung: 1e-12 + 8 * sys.float_info.epsilon / (w * rung * abs(math.sin(w * rung)))
-               for w, rung in zip(rep.omegas, rep.first_rungs)}
-        assert k * rep_k.tau0 == pytest.approx(rep.tau0, rel=tol[rep.tau0])
-        assert abs(hopf_k.c1_0 - hopf.c1_0) <= (tol[rep.tau0] + 1e-10) * abs(hopf.c1_0)
+        # p0 = wd*lambda_e - gc*beta_e can cancel, so the new unit rounds it apart
+        # (by up to 1.4e-12 on sampled sets), and tau0 and c1(0) with it
+        c, c_k = rep.coefficients, rep_k.coefficients
+        tol = 1e-12 + max(abs(x_k / k ** n - x) / abs(x)
+                          for x_k, x, n in zip(c_k, c, (1, 2, 2)) if x)
+        assert k * rep_k.tau0 == pytest.approx(rep.tau0, rel=tol, abs=0.0)
+        assert abs(hopf_k.c1_0 - hopf.c1_0) <= tol * abs(hopf.c1_0)
+        # Re c1(0) can cancel too: mu2_bar moves by the error of c1(0) over tau0 Re lambda'
+        assert abs(k * hopf_k.mu2_bar - hopf.mu2_bar) <= tol * abs(
+            hopf.c1_0 / (rep.tau0 * rep.transversality.re_lambda_prime))
         assert hopf_k.direction == hopf.direction
-        # mu2_bar is left out: it scales as 1/k^2 where mu2 of Hassard et al. scales as 1/k
-        probes = [0.0] + [rung * (1.0 + s * max(1e-6, 16 * tol[rung]))
-                          for rung in rep.first_rungs for s in (-1, 1)]
-        probes += [rung for rung in rep.first_rungs if tol[rung] < HOPF_CRITICAL_TOL / 4]
+        # the same verdict at each first rung and 1e-6 to either side of it
+        probes = [0.0] + [rung * (1.0 + s * 1e-6)
+                          for rung in rep.first_rungs for s in (-1, 0, 1)]
         for tau in probes:
             assert verdict_at(rep_k, tau / k).kind == verdict_at(rep, tau).kind, tau
