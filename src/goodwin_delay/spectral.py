@@ -105,39 +105,32 @@ def classify_h(c: CharCoefficients) -> HCase:
     """Assign the exhaustive H1..H6 tag and the positive roots of h."""
     try:
         a = c.p0 ** 2 - 2 * c.r0           # linear coefficient; h'(z) = 2z + a
-        const = c.r0 ** 2 - c.q0 ** 2
+        const = (c.r0 - c.q0) * (c.r0 + c.q0)  # r0^2 - q0^2, exact to rounding near |r0| = q0
         disc = a * a - 4 * const
     except OverflowError:
         disc = math.inf
     if not math.isfinite(disc):  # as a non-finite p0, r0, q0, a or const leaves it
         raise NonFiniteCoefficient(
             f"h(z) of p0={c.p0!r}, r0={c.r0!r}, q0={c.q0!r} is not finite")
-    note = ""
     if const < 0:
-        tag = "H4"
-        # sqrt(disc) > |a|: the + root is positive, the - root negative
-        z = (-a + math.sqrt(disc)) / 2.0
-        roots = (z,)
+        tag = "H4"  # roots of both signs
     elif within_rounding(disc, a * a + 4 * const, ROUNDING_TOL):
-        if a < 0:
-            tag, roots = "H3", (-a / 2.0,)
-        else:
-            tag, roots = "H2", ()
+        tag = "H3" if a < 0 else "H2"  # a double root -a/2
     elif disc < 0:
-        tag, roots = "H1", ()
+        tag = "H1"
     else:
-        # disc > 0, const >= 0
-        if a < 0:
-            tag = "H6"
-            z1 = (-a + math.sqrt(disc)) / 2.0
-            if const == 0.0:
-                # one root at exactly zero: not a crossing frequency
-                roots = (z1,)
-                note = "r0^2 - q0^2 = 0 exactly; z = 0 treated as non-crossing"
-            else:
-                roots = (z1, const / z1)
-        else:
-            tag, roots = "H5", ()
+        tag = "H6" if a < 0 else "H5"  # two roots of the sign of -a
+    if tag in ("H2", "H3"):
+        roots = (-a / 2.0,)
+    elif tag == "H1":
+        roots = ()
+    else:
+        # q sums two terms of one sign, and const/q is the other root (Higham 2002,
+        # sec. 1.8): no cancellation, and |q| >= |const/q| keeps them descending
+        q = -(a + math.copysign(math.sqrt(disc), a)) / 2.0
+        roots = (q, const / q)
+    note = ("r0^2 - q0^2 = 0 exactly; z = 0 treated as non-crossing"
+            if tag == "H6" and const == 0.0 else "")
     roots = tuple(z for z in roots if z > 0.0)
     return HCase(tag=tag, discriminant=disc, roots=roots, note=note)
 

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp
 
+from goodwin_delay.errors import GoodwinDelayError
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.simulate import HistorySpec, amplitude_envelope, oscillation_period, simulate
 from goodwin_delay.spectral import char_coefficients, classify_h
@@ -83,13 +84,16 @@ def mp_first_rungs(c):
 
 
 def rhp_root_count(p0, r0, q0, tau):
-    """Number of roots of x^2 + p0 x + r0 + q0 e^(-x tau) with Re x > 0."""
+    """Number of roots of x^2 + p0 x + r0 + q0 e^(-x tau) with Re x > 0.  The axis
+    of the contour of radius R takes 2 R tau points or more: a large tau costs memory."""
     def P(x):
         return x * x + p0 * x + r0 + q0 * np.exp(-x * tau)
 
     # roots in the closed right half plane satisfy |x^2| <= |p0||x| + |r0| + |q0|
     R = 2.0 * (abs(p0) + math.sqrt(abs(r0) + abs(q0))) + 2.0
-    axis = 1j * np.linspace(R, -R, 801)
+    # e^(-x tau) turns by tau per unit of the axis: at most a radian a step, or a
+    # turn can alias to a small step that the refinement never splits
+    axis = 1j * np.linspace(R, -R, max(801, math.ceil(2.0 * R * tau) + 1))
     arc = R * np.exp(1j * np.linspace(-math.pi / 2, math.pi / 2, 801))
     contour = np.concatenate([axis, arc[1:], axis[:1]])
     return winding_number(P, contour)
@@ -523,3 +527,27 @@ def sample_crossing_set(rng, variant="A", require_stable_at_zero=False):
         if not h.roots:
             continue
         return p, coeffs, eq, c, h
+
+
+def sample_edge_set(rng):
+    """Random valid case-A set with a crossing and r0/q0 = 1 - eps, just inside the
+    H4 edge |r0| = q0 where h's constant r0^2 - q0^2 cancels.  Eight fields are
+    scaled by e^U(-3,3), a3 is U(0,1) and eps is 10^U(-10,-3); in variant A,
+    r0/q0 = g delta gamma2 / ((nu2 + g delta) rho1) whatever beta_e and lambda_e
+    are, so gamma2 fixes it."""
+    while True:
+        raw = dict(CASE_A)
+        for k in ("nu1", "nu2", "n", "gamma1", "a1", "a2", "b1", "delta"):
+            raw[k] = CASE_A[k] * math.exp(rng.uniform(-3.0, 3.0))
+        raw["a3"] = rng.uniform(0.0, 1.0)
+        gd = (raw["c"] - (raw["s_pi"] - raw["s_w"])) * raw["delta"]
+        rho1 = raw["a2"] * (1.0 - raw["b3"]) / (1.0 - raw["a3"] * raw["b3"])
+        raw["gamma2"] = rho1 * (raw["nu2"] + gd) / gd * (1.0 - 10.0 ** rng.uniform(-10.0, -3.0))
+        try:
+            p = validate_parameters(raw)
+            coeffs = subsystem_coefficients(p, "A")
+            eq = equilibrium(coeffs, p)
+        except GoodwinDelayError:
+            continue
+        if classify_h(char_coefficients(eq, coeffs)).roots:
+            return p, coeffs, eq

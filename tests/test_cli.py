@@ -531,14 +531,14 @@ PINNED_SWEEPS = {
               "cb6bec24d5b17f4a191e25335352413e8557aab09a42220f537f09b676b96baa"),
     "delta_A": (["--param", "delta", "--start", "3.5", "--stop", "5",
                  "--count", "101", "--tau", "0.03", "--with-hopf"],
-                "428a28a3705bc6f7ace77c111022921b7ddcff48574bfe3869ec40ad78d01113"),
+                "d08dd0aaf6df29fc35d96d1ffad4b174d105536af7e80780b660e3425f9e7e41"),
     # both re-derive g/rho0/rho1 per row and cross constraint edges
     # its last row reads 1.2, not 1.1999999999999997, since the grid ends at stop
     "s_pi_A": (["--param", "s_pi", "--start", "0.01", "--stop", "1.2",
                 "--count", "301", "--tau", "0.03", "--with-hopf"],
-               "e5d61184d36a97dd120d5fac0967dec891ba037cef07dd5ecf970cb458738b5b"),
+               "bf193d1e04da2fa4636722f19b4e8f9bae964ba2ff1ed2c1909649b74565c5fc"),
     "a3_A": (["--param", "a3", "--start", "0.5", "--stop", "1.2", "--count", "301"],
-             "115264b8e4897c7a412f27bc74a60930d05294b959445a1328803bac818c0a9d"),
+             "a5b582d62d68d11e22737458f56ea24a9cb4cdaec79e54f41471f09af3ec396d"),
 }
 
 
@@ -653,8 +653,8 @@ def test_simulate_bytes_are_pinned(name, config_a, config_b, tmp_path, capsys):
 # sha256 of analyze's analysis.json, stdout and stderr
 PINNED_ANALYSES = {
     "A_tau0.05": (CASE_A, ["--tau", "0.05"], (
-        "045edcb77758baf8c7d94607d9ca5c815de0746732b7261f4d256ff8db746fa0",
-        "11de439545982fa68e1af166712a9301429e464e0757a2f02347056469b996d4",
+        "aa49d74f668341828d1ae1908e0d79222b06755df5188c5cde34845e82a93790",
+        "f2c88e464a17ba8a60f7c8aae22f7e3e17c90df81bfb46d28274200e87ee0c8f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
     "B": (CASE_B, ["--variant", "B"], (
         "ebfd5bdf8f0efd9babca5d4c6a9b16aef0c0432f40c3ed27b1c7adb36d8bdd95",
@@ -692,11 +692,14 @@ def test_analyze_bytes_are_pinned(name, tmp_path, capsys):
     # most rows lie outside (0,1)^2, and each is counted
     (["--param", "gamma1", "--start", "0", "--stop", "0.6", "--tau", "0.03"], 200, 2_000),
 ], ids=["tau", "delta", "gamma1"])
-def test_sweep_memory_does_not_grow_with_rows(args, small, large, config_a, tmp_path,
-                                              capsys):
+def test_sweep_memory_does_not_grow_with_rows(args, small, large, split_rows, config_a,
+                                              tmp_path, capsys):
     # rows are written as they are formatted and the value grid is generated,
     # not held: nothing grows with the count (measured within +-6 B a row,
-    # which is allocator noise; a list of the values would take 32 B a row)
+    # which is allocator noise; a list of the values would take 32 B a row).
+    # One process writes every row, so tracemalloc sees them all
+    forks = split_rows(1)
+
     def sweep(count):
         assert main(["sweep", "--config", config_a, *args, "--count", str(count),
                      "--out", str(tmp_path)]) == 0
@@ -713,6 +716,7 @@ def test_sweep_memory_does_not_grow_with_rows(args, small, large, config_a, tmp_
     # interpreter's allocator and free lists): an untraced run leaves it first
     sweep(large)
     assert peak(large) - peak(small) <= 16 * (large - small)
+    assert forks == []
 
 
 def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):

@@ -27,7 +27,7 @@ from goodwin_delay.spectral import (
 )
 
 from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, h_value, mp_first_rungs,
-                     rhp_root_count, sample_crossing_set)
+                     rhp_root_count, sample_crossing_set, sample_edge_set)
 
 
 def mp_char_coefficients(eq, coeffs):
@@ -243,6 +243,17 @@ class TestCriticalDelays:
         rep = analyze_spectrum(eq, coeffs)
         assert rep.first_rungs == pytest.approx(mp_first_rungs(rep.coefficients),
                                                 rel=2e-15, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=13723)  # the textbook root formula's worst draw: tau0 5.2e-2 off
+    @example(seed=7791)  # its omega here fails the ladder residual check
+    def test_first_rungs_at_the_r0_q0_edge_match_a_200_bit_phase(self, seed):
+        # r0^2 - q0^2 and -a + sqrt(disc) both cancel as r0/q0 -> 1 with a > 0
+        _, coeffs, eq = sample_edge_set(np.random.default_rng(seed))
+        rep = analyze_spectrum(eq, coeffs)
+        assert rep.first_rungs == pytest.approx(mp_first_rungs(rep.coefficients),
+                                                rel=1e-12, abs=0.0)
 
 
 class TestTransversality:
