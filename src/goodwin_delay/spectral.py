@@ -112,21 +112,16 @@ def classify_h(c: CharCoefficients) -> HCase:
     if not math.isfinite(disc):  # as a non-finite p0, r0, q0, a or const leaves it
         raise NonFiniteCoefficient(
             f"h(z) of p0={c.p0!r}, r0={c.r0!r}, q0={c.q0!r} is not finite")
-    if const < 0:
-        tag = "H4"  # roots of both signs
-    elif within_rounding(disc, a * a + 4 * const, ROUNDING_TOL):
-        tag = "H3" if a < 0 else "H2"  # a double root -a/2
+    if within_rounding(disc, a * a + 4 * const, ROUNDING_TOL):
+        tag, roots = ("H3" if a < 0 else "H2"), (-a / 2.0,)  # a double root
     elif disc < 0:
-        tag = "H1"
+        tag, roots = "H1", ()
     else:
-        tag = "H6" if a < 0 else "H5"  # two roots of the sign of -a
-    if tag in ("H2", "H3"):
-        roots = (-a / 2.0,)
-    elif tag == "H1":
-        roots = ()
-    else:
-        # q sums two terms of one sign, and const/q is the other root (Higham 2002,
-        # sec. 1.8): no cancellation, and |q| >= |const/q| keeps them descending
+        # H4 (const < 0, so disc > a^2 >= 0 and neither test above holds) has roots
+        # of both signs, H6 and H5 two of the sign of -a.  q sums two terms of one
+        # sign, and const/q is the other root (Higham 2002, sec. 1.8): no
+        # cancellation, and |q| >= |const/q| keeps them descending
+        tag = "H4" if const < 0 else "H6" if a < 0 else "H5"
         q = -(a + math.copysign(math.sqrt(disc), a)) / 2.0
         roots = (q, const / q)
     note = ("r0^2 - q0^2 = 0 exactly; z = 0 treated as non-crossing"

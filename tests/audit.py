@@ -3,12 +3,12 @@
 Not a test: pytest does not collect this file and it gates nothing.  Run it by
 hand from the repository root (about a minute at the defaults):
 
-    PYTHONPATH=src python tests/audit.py [--draws N] [--edge M] [--seed S]
+    PYTHONPATH=src python tests/audit.py
 
-It draws N parameter sets of each variant over the validated box: the positive
+It draws DRAWS parameter sets of each variant over the validated box: the positive
 fields of case A or B scaled by e^U(-4,4), a3, b3, c, s_pi and mu2 uniform on
 their ranges and s_w uniform below s_pi (variant B takes the consistent mu1).
-It adds M case-A sets just inside the edge r0 = q0 (helpers.sample_edge_set).
+It adds EDGE_DRAWS case-A sets just inside the edge r0 = q0 (helpers.sample_edge_set).
 For each set with a crossing it compares every first rung with the 200-bit
 phase of mp_first_rungs and c1(0) with the Hassard reduction of hassard_c1.
 Where the set is stable at zero and tau0 <= 1e3, it also checks the verdicts
@@ -22,27 +22,27 @@ It prints the worst relative errors, the verdict mismatches and a histogram of
 and an error's class name where the analysis raises.
 """
 
-import argparse
 import collections
 import math
 import time
 
 import numpy as np
 
-from goodwin_delay.errors import GoodwinDelayError
-from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
 from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import analyze_spectrum, verdict_at
 
-from helpers import (CASE_A, CASE_B, consistent_mu1, hassard_c1, mp_first_rungs,
+from helpers import (CASE_A, CASE_B, build_set, consistent_mu1, hassard_c1, mp_first_rungs,
                      rhp_root_count, sample_edge_set)
 
 SCALED = ("nu1", "nu2", "n", "gamma1", "gamma2", "a1", "a2", "b1", "delta")
 VERDICT_TAU0_MAX = 1e3  # beyond, rhp_root_count needs millions of axis points
+DRAWS = 20000  # per variant's box
+EDGE_DRAWS = 5000
+SEED = 0
 
 
 def draw_box(rng, variant):
-    """One set over VARIANT's validated box, or None where it fails validation."""
+    """The raw fields of one draw over VARIANT's box."""
     raw = dict(CASE_A if variant == "A" else CASE_B)
     for k in SCALED:
         raw[k] *= math.exp(rng.uniform(-4.0, 4.0))
@@ -51,12 +51,7 @@ def draw_box(rng, variant):
     raw["s_w"] = raw["s_pi"] * rng.uniform(0.0, 1.0)
     if variant == "B":
         raw["mu1"] = consistent_mu1(raw)
-    try:
-        p = validate_parameters(raw)
-        coeffs = subsystem_coefficients(p, variant)
-        return coeffs, equilibrium(coeffs, p)
-    except GoodwinDelayError:
-        return None
+    return raw
 
 
 def audit(coeffs, eq, stats):
@@ -83,16 +78,11 @@ def audit(coeffs, eq, stats):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--draws", type=int, default=20000, help="draws per variant's box")
-    ap.add_argument("--edge", type=int, default=5000, help="case-A draws at r0 = q0")
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(SEED)
     start = time.perf_counter()
-    samples = {"A": (args.draws, lambda: draw_box(rng, "A")),
-               "B": (args.draws, lambda: draw_box(rng, "B")),
-               "edge": (args.edge, lambda: sample_edge_set(rng)[1:])}
+    samples = {"A": (DRAWS, lambda: build_set(draw_box(rng, "A"), "A")),
+               "B": (DRAWS, lambda: build_set(draw_box(rng, "B"), "B")),
+               "edge": (EDGE_DRAWS, lambda: sample_edge_set(rng)[:3])}
     regimes = collections.Counter()
     print(f"{'sample':<6} {'valid':>6} {'crossing':>8} {'worst rung':>11} {'worst c1':>9} "
           f"{'verdict mismatches (tau0 <= 1e3)':>33}")
@@ -102,7 +92,7 @@ def main():
             drawn = draw()
             if drawn is not None:
                 stats["valid"] += 1
-                regimes[(name, *audit(*drawn, stats))] += 1
+                regimes[(name, *audit(*drawn[1:], stats))] += 1
         print(f"{name:<6} {stats['valid']:>6} {stats['crossing']:>8} {stats['rung']:>11.2e} "
               f"{stats['c1']:>9.2e} {stats['mismatches']:>24} of {stats['verdicts']:<6}")
     print(f"\n{'sample':<6} {'h case':<6} {'interior':<8} {'direction':<22} {'sets':>6}")

@@ -498,6 +498,32 @@ def consistent_mu1(raw):
         d0 + raw["nu2"] * (1 - raw["mu2"]))
 
 
+def build_set(raw, variant):
+    """(p, coeffs, eq) of the raw fields RAW in VARIANT, or None where they fail
+    validation."""
+    try:
+        p = validate_parameters(raw)
+        coeffs = subsystem_coefficients(p, variant)
+        return p, coeffs, equilibrium(coeffs, p)
+    except GoodwinDelayError:
+        return None
+
+
+def _crossing_set(draw, variant, keep=lambda eq, c: True):
+    """Redraw the raw fields DRAW() until they are valid in VARIANT, KEEP(eq, c)
+    holds and h has a positive root: (p, coeffs, eq, c, h)."""
+    while True:
+        built = build_set(draw(), variant)
+        if built is None:
+            continue
+        p, coeffs, eq = built
+        c = char_coefficients(eq, coeffs)
+        if keep(eq, c):
+            h = classify_h(c)
+            if h.roots:
+                return p, coeffs, eq, c, h
+
+
 def sample_crossing_set(rng, variant="A", require_stable_at_zero=False):
     """Random valid parameter set whose subsystem has a delay crossing."""
     base = CASE_A if variant == "A" else CASE_B
@@ -505,28 +531,19 @@ def sample_crossing_set(rng, variant="A", require_stable_at_zero=False):
                    "a1", "a2", "b1", "b3")
     if variant == "B":
         jitter_keys = ("nu1", "nu2", "delta", "c", "n", "a1", "a2", "b1", "b3")
-    while True:
+
+    def draw():
         raw = _jitter(rng, base, jitter_keys, 0.7, 1.3)
         if variant == "B":
             raw["mu2"] = rng.uniform(0.2, 0.9)
-            raw["mu1"] = consistent_mu1(raw)
-            if raw["mu1"] < 0:
-                continue
-        try:
-            p = validate_parameters(raw)
-            coeffs = subsystem_coefficients(p, variant)
-            eq = equilibrium(coeffs, p)
-        except Exception:
-            continue
-        if not (eq.beta_e > 0 and eq.lambda_e > 0):
-            continue
-        c = char_coefficients(eq, coeffs)
-        if require_stable_at_zero and not (c.p0 > 0 and c.r0 + c.q0 > 0):
-            continue
-        h = classify_h(c)
-        if not h.roots:
-            continue
-        return p, coeffs, eq, c, h
+            raw["mu1"] = consistent_mu1(raw)  # validation rejects mu1 < 0
+        return raw
+
+    def keep(eq, c):
+        return (eq.beta_e > 0 and eq.lambda_e > 0
+                and (not require_stable_at_zero or (c.p0 > 0 and c.r0 + c.q0 > 0)))
+
+    return _crossing_set(draw, variant, keep)
 
 
 def sample_edge_set(rng):
@@ -535,7 +552,7 @@ def sample_edge_set(rng):
     scaled by e^U(-3,3), a3 is U(0,1) and eps is 10^U(-10,-3); in variant A,
     r0/q0 = g delta gamma2 / ((nu2 + g delta) rho1) whatever beta_e and lambda_e
     are, so gamma2 fixes it."""
-    while True:
+    def draw():
         raw = dict(CASE_A)
         for k in ("nu1", "nu2", "n", "gamma1", "a1", "a2", "b1", "delta"):
             raw[k] = CASE_A[k] * math.exp(rng.uniform(-3.0, 3.0))
@@ -543,11 +560,6 @@ def sample_edge_set(rng):
         gd = (raw["c"] - (raw["s_pi"] - raw["s_w"])) * raw["delta"]
         rho1 = raw["a2"] * (1.0 - raw["b3"]) / (1.0 - raw["a3"] * raw["b3"])
         raw["gamma2"] = rho1 * (raw["nu2"] + gd) / gd * (1.0 - 10.0 ** rng.uniform(-10.0, -3.0))
-        try:
-            p = validate_parameters(raw)
-            coeffs = subsystem_coefficients(p, "A")
-            eq = equilibrium(coeffs, p)
-        except GoodwinDelayError:
-            continue
-        if classify_h(char_coefficients(eq, coeffs)).roots:
-            return p, coeffs, eq
+        return raw
+
+    return _crossing_set(draw, "A")

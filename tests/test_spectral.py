@@ -250,7 +250,7 @@ class TestCriticalDelays:
     @example(seed=7791)  # its omega here fails the ladder residual check
     def test_first_rungs_at_the_r0_q0_edge_match_a_200_bit_phase(self, seed):
         # r0^2 - q0^2 and -a + sqrt(disc) both cancel as r0/q0 -> 1 with a > 0
-        _, coeffs, eq = sample_edge_set(np.random.default_rng(seed))
+        _, coeffs, eq, _, _ = sample_edge_set(np.random.default_rng(seed))
         rep = analyze_spectrum(eq, coeffs)
         assert rep.first_rungs == pytest.approx(mp_first_rungs(rep.coefficients),
                                                 rel=1e-12, abs=0.0)
