@@ -101,17 +101,22 @@ def cmd_analyze(args) -> int:
     out = _outdir(args)
     eq, report, hopf = _analysis(p, args.variant, True, _warn_outside)
     verdict = verdict_at(report, args.tau)
-    c, tv = report.coefficients, report.transversality
+    c, tau0 = report.coefficients, report.tau0
+    # rung 1 of each ladder lies above its rung 0, so the interval needs that depth
+    ladders = [critical_delays(c, w, max(args.jmax, 1)) for w in report.omegas]
+    interval = None
+    if report.stable_at_zero and tau0 is not None:
+        interval = [tau0, min(t for ladder in ladders for t in ladder if t > tau0)]
     spectral = {
         "p0": c.p0, "r0": c.r0, "q0": c.q0,
         "h_case": report.h_case.tag,
         "omega": list(report.omegas),
-        "tau_ladder": [list(critical_delays(c, w, args.jmax)) for w in report.omegas],
-        "tau0": report.tau0, "omega0": report.omega0, "z0": report.z0,
-        "h_prime_z0": tv.h_prime_z0 if tv else None,
-        "re_lambda_prime": tv.re_lambda_prime if tv else None,
+        "tau_ladder": [list(ladder[:args.jmax + 1]) for ladder in ladders],
+        "tau0": tau0, "omega0": report.omega0, "z0": report.z0,
+        "h_prime_z0": report.h_prime_z0,
+        "re_lambda_prime": report.re_lambda_prime,
         "stable_at_zero": report.stable_at_zero,
-        "delay_independent": report.tau0 is None,
+        "delay_independent": tau0 is None,
     }
     if report.h_case.note:
         spectral["h_case_note"] = report.h_case.note
@@ -127,16 +132,16 @@ def cmd_analyze(args) -> int:
             "interior": eq.interior, "lambda_star": eq.lambda_star,
         },
         "spectral": spectral,
-        "instability_interval": list(verdict.interval) if verdict.interval else None,
+        "instability_interval": interval,
         "hopf": (dict(zip(HOPF_COLUMNS, _hopf_values(hopf)),
                       period_estimate=hopf.period_estimate) if hopf else None),
     })
     print(f"equilibrium: beta_e={_fmt(eq.beta_e)} lambda_e={_fmt(eq.lambda_e)}"
           f" interior={eq.interior}")
     print(f"h_case: {report.h_case.tag}  stable_at_zero: {report.stable_at_zero}")
-    if report.tau0 is not None:
-        print(f"tau0: {_fmt(report.tau0)}  omega0: {_fmt(report.omega0)}"
-              f"  h'(z0): {_fmt(report.transversality.h_prime_z0)}")
+    if tau0 is not None:
+        print(f"tau0: {_fmt(tau0)}  omega0: {_fmt(report.omega0)}"
+              f"  h'(z0): {_fmt(report.h_prime_z0)}")
     else:
         print("tau0: none (delay-independent stability)")
     print(f"verdict at tau={_fmt(args.tau)}: {verdict.kind}")

@@ -39,25 +39,8 @@ class DerivedConstants(NamedTuple):
     rho1: float
 
 
-class ModelParameters(NamedTuple):
-    mu1: float
-    mu2: float
-    nu1: float
-    nu2: float
-    n: float
-    gamma1: float
-    gamma2: float
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-    b3: float
-    c: float
-    s_pi: float
-    s_w: float
-    delta: float
-    derived: DerivedConstants
+ModelParameters = NamedTuple(
+    "ModelParameters", [*((name, float) for name in PARAM_FIELDS), ("derived", DerivedConstants)])
 
 
 class SubsystemCoefficients(NamedTuple):

@@ -91,7 +91,7 @@ def lyapunov_quantities(c1: complex, c1_scale: float, omega: float, tau0: float,
 def hopf_analysis(eq: Equilibrium, coeffs: SubsystemCoefficients,
                   report: SpectralReport) -> HopfReport:
     """Run the reduction at (omega0, tau0) from a spectral report."""
-    if report.tau0 is None or report.transversality is None:
+    if report.tau0 is None:
         raise ZeroTransversality("spectral report carries no crossing")
     w, tau = report.omega0, report.tau0
     be, le = eq.beta_e, eq.lambda_e
@@ -120,8 +120,7 @@ def hopf_analysis(eq: Equilibrium, coeffs: SubsystemCoefficients,
         c1 = k * (pb * (t0 - t1) + t2 - t3 + t4 + t5)
         c1_scale = abs(k) * (abs(pb) * (abs(t0) + abs(t1))
                              + abs(t2) + abs(t3) + abs(t4) + abs(t5))
-        return lyapunov_quantities(c1, c1_scale, w, tau,
-                                   report.transversality.re_lambda_prime)
+        return lyapunov_quantities(c1, c1_scale, w, tau, report.re_lambda_prime)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NonFiniteCoefficient(
             f"normal form overflows or divides by zero at tau0 = {tau!r}") from exc

@@ -43,12 +43,6 @@ class HCase(NamedTuple):
     note: str = ""
 
 
-class TransversalityReport(NamedTuple):
-    h_prime_z0: float
-    D: float
-    re_lambda_prime: float
-
-
 class SpectralReport(NamedTuple):
     coefficients: CharCoefficients
     h_case: HCase
@@ -56,15 +50,15 @@ class SpectralReport(NamedTuple):
     omegas: tuple[float, ...] = ()  # crossing frequencies, descending; none: no crossing
     first_rungs: tuple[float, ...] = ()  # tau_k^0 of each omega_k
     tau0: float | None = None
-    tau_next: float | None = None  # smallest ladder delay above tau0
     omega0: float | None = None
     z0: float | None = None
-    transversality: TransversalityReport | None = None
+    h_prime_z0: float | None = None  # these three: the slope at (omega0, tau0)
+    D: float | None = None
+    re_lambda_prime: float | None = None
 
 
 class Verdict(NamedTuple):
     kind: str  # stable_all_delays | stable | hopf_critical | unstable | unstable_at_zero
-    interval: tuple[float, float] | None
     report: SpectralReport
 
 
@@ -153,8 +147,8 @@ def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[
 
 
 def transversality(c: CharCoefficients, z0: float, omega0: float,
-                   tau0: float) -> TransversalityReport:
-    """Sign and value of d(Re x)/dtau at the crossing (omega0, tau0)."""
+                   tau0: float) -> tuple[float, float, float]:
+    """(h'(z0), D, d(Re x)/dtau) at the crossing (omega0, tau0)."""
     hp = h_prime(c, z0)
     if within_rounding(hp, 2 * z0 + abs(c.p0 ** 2 - 2 * c.r0), ROUNDING_TOL):
         raise DegenerateCrossing(f"h'(z0) = {hp!r} within {ROUNDING_TOL}*(2z0+|p0^2-2r0|) of 0")
@@ -162,7 +156,7 @@ def transversality(c: CharCoefficients, z0: float, omega0: float,
     D = ((c.p0 * math.cos(wt) - 2 * omega0 * math.sin(wt) - c.q0 * tau0) ** 2
          + (c.p0 * math.sin(wt) + 2 * omega0 * math.cos(wt)) ** 2)
     re_lp = omega0 * omega0 * hp / D
-    return TransversalityReport(h_prime_z0=hp, D=D, re_lambda_prime=re_lp)
+    return hp, D, re_lp
 
 
 def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> SpectralReport:
@@ -173,15 +167,11 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> Spectral
     if not h.roots:  # no crossing at any delay
         return SpectralReport(coefficients=c, h_case=h, stable_at_zero=stable0)
     omegas = tuple(math.sqrt(z) for z in h.roots)  # descending, like the roots
-    ladders = tuple(critical_delays(c, w, 1) for w in omegas)  # a rung and omega fix each
-    k0 = min(range(len(omegas)), key=lambda k: ladders[k][0])
-    tau0, omega0, z0 = ladders[k0][0], omegas[k0], h.roots[k0]
-    tau_next = min([t for ladder in ladders for t in ladder if t > tau0], default=None)
-    return SpectralReport(
-        coefficients=c, h_case=h, stable_at_zero=stable0, omegas=omegas,
-        first_rungs=tuple(ladder[0] for ladder in ladders),
-        tau0=tau0, tau_next=tau_next, omega0=omega0, z0=z0,
-        transversality=transversality(c, z0, omega0, tau0))
+    rungs = tuple(critical_delays(c, w, 0)[0] for w in omegas)  # a rung and omega fix each
+    k0 = rungs.index(min(rungs))
+    tau0, omega0, z0 = rungs[k0], omegas[k0], h.roots[k0]
+    return SpectralReport(c, h, stable0, omegas, rungs, tau0, omega0, z0,
+                          *transversality(c, z0, omega0, tau0))
 
 
 def check_delay(tau: float) -> None:
@@ -200,17 +190,16 @@ def verdict_at(report: SpectralReport, tau: float) -> Verdict:
     """Stability classification at delay tau, given the tau-independent spectrum."""
     check_delay(tau)  # the library's guard; the CLI also checks before writing
     if not report.stable_at_zero:
-        return Verdict(kind="unstable_at_zero", interval=None, report=report)
+        return Verdict(kind="unstable_at_zero", report=report)
     if report.tau0 is None:
-        return Verdict(kind="stable_all_delays", interval=None, report=report)
-    interval = None if report.tau_next is None else (report.tau0, report.tau_next)
+        return Verdict(kind="stable_all_delays", report=report)
     # root pairs in the right half-plane at tau * (1 -+ HOPF_CRITICAL_TOL): each rung at
     # or below brings one in at the larger frequency and takes one out at the smaller (H6)
     below = above = 0
     for sign, omega, rung in zip((1, -1), report.omegas, report.first_rungs):
         turns = (tau * (1.0 + HOPF_CRITICAL_TOL) - rung) * omega / (2.0 * math.pi)
         if turns == math.inf:  # beyond the float range, tau is past every switch
-            return Verdict(kind="unstable", interval=interval, report=report)
+            return Verdict(kind="unstable", report=report)
         if turns >= 0:  # rungs 0..floor(turns) lie at or below
             above += sign * (math.floor(turns) + 1)
             turns = (tau * (1.0 - HOPF_CRITICAL_TOL) - rung) * omega / (2.0 * math.pi)
@@ -218,7 +207,7 @@ def verdict_at(report: SpectralReport, tau: float) -> Verdict:
                 below += sign * math.ceil(turns)
     kind = ("hopf_critical" if (below > 0) != (above > 0)
             else "unstable" if below > 0 else "stable")
-    return Verdict(kind=kind, interval=interval, report=report)
+    return Verdict(kind=kind, report=report)
 
 
 def stability_verdict(p: ModelParameters, variant: str, tau: float) -> Verdict:

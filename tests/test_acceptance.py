@@ -41,7 +41,7 @@ def test_criterion_2_spectrum(case_a):
     rep = analyze_spectrum(eq, coeffs)
     assert rep.z0 == pytest.approx(0.501343, abs=1e-5)
     assert rep.omega0 == pytest.approx(0.708056, abs=1e-5)
-    assert rep.transversality.h_prime_z0 == pytest.approx(0.991515, abs=1e-5)
+    assert rep.h_prime_z0 == pytest.approx(0.991515, abs=1e-5)
     assert rep.tau0 == pytest.approx(0.0348488, abs=1e-6)
     assert rep.h_case.tag == "H4"
     _ok(2, f"z0={rep.z0:.6f} omega0={rep.omega0:.6f} tau0={rep.tau0:.7f} H4")

@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import goodwin_delay
@@ -133,6 +133,20 @@ class TestAnalyze:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "analysis error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant, overrides, message", [
+        ("A", {"a2": 5e-324, "gamma2": 0.0}, "rho1*nu2 + g*delta*(rho1 + gamma2) = 0"),
+        ("B", {"a2": 5e-324}, "rho1 * delta0 = 0"),
+    ], ids=["A", "B"])
+    def test_undefined_equilibrium_exits_2(self, variant, overrides, message, tmp_path,
+                                           capsys):
+        # a2 = 5e-324 rounds rho1 to 0, so neither closed form has a denominator
+        cfg = tmp_path / "rho1.json"
+        cfg.write_text(json.dumps({**(CASE_A if variant == "A" else CASE_B), **overrides}))
+        rc = main(["analyze", "--config", str(cfg), "--variant", variant,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"analysis error: {message}\n"
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])
     def test_non_finite_tau_exits_1(self, config_a, tmp_path, capsys, tau):
@@ -887,6 +901,7 @@ def _config_error(raw: dict, variant: str) -> bool:
 @given(variant=st.sampled_from("AB"), name=st.sampled_from(PARAM_FIELDS),
        value=st.floats(min_value=1e-300, max_value=1.7e308))
 @settings(max_examples=150, deadline=None)
+@example(variant="B", name="a2", value=5e-324)  # rho1 rounds to 0: no equilibrium
 def test_extreme_inputs_exit_cleanly(variant, name, value):
     # every field of both reference sets, at any finite magnitude: main
     # returns a documented exit code, exits 1 only for a rejected config, and

@@ -379,6 +379,16 @@ class TestLyapunov:
     def test_zero_transversality_guard(self):
         with pytest.raises(ZeroTransversality):
             lyapunov_quantities(0.1 + 0.1j, 1.0, omega=1.0, tau0=1.0, re_lambda_prime=0.0)
+        # an H1 spectrum has no crossing to reduce at: (p0, r0, q0) = (0.7, 0.2, 0.1937)
+        # from subsystem coefficients at beta_e = lambda_e = 1
+        coeffs = SubsystemCoefficients(variant="A", beta0=0.0, lambda0=0.0, delta0=1.9,
+                                       growth_coupling=1.0, wage_damping=1.7,
+                                       rho1=0.1937 / 1.9)
+        eq = Equilibrium(beta_e=1.0, lambda_e=1.0, interior=False)
+        report = analyze_spectrum(eq, coeffs)
+        assert report.h_case.tag == "H1"
+        with pytest.raises(ZeroTransversality, match="^spectral report carries no crossing$"):
+            hopf_analysis(eq, coeffs, report)
 
     @pytest.mark.parametrize("variant, overrides, message", [
         # rho1 is near 8e307, so the h20 matrix's scale squares past the float range

@@ -19,11 +19,10 @@ RECORD_FIELDS = {
     model.Equilibrium: ("beta_e", "lambda_e", "interior", "lambda_star"),
     spectral.CharCoefficients: ("p0", "r0", "q0"),
     spectral.HCase: ("tag", "discriminant", "roots", "note"),
-    spectral.TransversalityReport: ("h_prime_z0", "D", "re_lambda_prime"),
     spectral.SpectralReport: ("coefficients", "h_case", "stable_at_zero", "omegas",
-                              "first_rungs", "tau0", "tau_next", "omega0", "z0",
-                              "transversality"),
-    spectral.Verdict: ("kind", "interval", "report"),
+                              "first_rungs", "tau0", "omega0", "z0", "h_prime_z0", "D",
+                              "re_lambda_prime"),
+    spectral.Verdict: ("kind", "report"),
     normal_form.HopfReport: ("c1_0", "mu2_bar", "beta2", "direction",
                              "orbit_stability", "period_estimate"),
     simulate.HistorySpec: ("beta", "lambda_"),

@@ -287,6 +287,9 @@ class TestDiagnostics:
             amplitude_envelope(traj, window=traj.step)
         with pytest.raises(WindowTooShort):
             amplitude_envelope(traj, window=50.0)
+        # a window longer than half the run leaves one window to compare
+        with pytest.raises(WindowTooShort, match="^too few windows after transient skip$"):
+            classify_dynamics(traj, window=6.0)
         # a run that overflows after one step is too short for the default
         # window, and the error says why the run is short
         traj = simulate(coeffs, 0.05, HistorySpec(beta=1e5, lambda_=0.0), t_end=100.0)

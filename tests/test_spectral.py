@@ -123,13 +123,21 @@ class TestClassifyH:
         for z in h.roots:
             assert h_value(c, z) == pytest.approx(0.0, abs=1e-12)
 
-    def test_h6_boundary_const_zero(self):
+    def test_h6_boundary_const_zero(self, analysis_json):
         # r0 = q0 puts one root at exactly zero: excluded from crossings
         c = CharCoefficients(p0=0.1, r0=0.5, q0=0.5)
         h = classify_h(c)
         assert h.tag == "H6"
         assert len(h.roots) == 1
         assert h.note
+        # case A's gamma2 at which r0 == q0 to the bit: analysis.json carries the note
+        doc = analysis_json({**CASE_A, "gamma2": 1.0373498058227124})
+        spectral = doc["spectral"]
+        assert spectral["r0"] == spectral["q0"]
+        assert spectral["h_case"] == "H6" and spectral["h_case_note"] == h.note
+        assert not doc["equilibrium"]["interior"]
+        assert spectral["verdict"] == "unstable_at_zero"
+        assert doc["instability_interval"] is None
 
     def test_h3_double_root(self):
         # disc = 0 with -a/2 > 0: tangency root
@@ -260,8 +268,8 @@ class TestTransversality:
     def test_case_a_slope(self, case_a):
         _, coeffs, eq = case_a
         rep = analyze_spectrum(eq, coeffs)
-        assert rep.transversality.h_prime_z0 == pytest.approx(0.991515, abs=1e-5)
-        assert rep.transversality.re_lambda_prime > 0
+        assert rep.h_prime_z0 == pytest.approx(0.991515, abs=1e-5)
+        assert rep.re_lambda_prime > 0
 
     def test_case_b_always_positive(self, case_b):
         # with r0 = 0 the auxiliary quadratic has a single positive root
@@ -269,7 +277,7 @@ class TestTransversality:
         _, coeffs, eq = case_b
         c = char_coefficients(eq, coeffs)
         rep = analyze_spectrum(eq, coeffs)
-        hp = rep.transversality.h_prime_z0
+        hp = rep.h_prime_z0
         assert hp == pytest.approx(math.sqrt(c.p0 ** 4 + 4 * c.q0 ** 2), rel=1e-12)
         assert hp > 0
 
@@ -301,11 +309,11 @@ class TestTransversality:
         lo = root_near(rep.tau0 - dtau, x0)
         hi = root_near(rep.tau0 + dtau, x0)
         fd = (hi.real - lo.real) / (2 * dtau)
-        assert fd == pytest.approx(rep.transversality.re_lambda_prime, rel=1e-4)
+        assert fd == pytest.approx(rep.re_lambda_prime, rel=1e-4)
 
 
 class TestVerdicts:
-    def test_case_a_regimes(self, case_a_raw):
+    def test_case_a_regimes(self, case_a_raw, analysis_json):
         p = validate_parameters(case_a_raw)
         v_stable = stability_verdict(p, "A", 0.02)
         assert v_stable.kind == "stable"
@@ -313,7 +321,7 @@ class TestVerdicts:
         assert v_crit.kind == "hopf_critical"
         v_unstable = stability_verdict(p, "A", 0.05)
         assert v_unstable.kind == "unstable"
-        lo, hi = v_unstable.interval
+        lo, hi = analysis_json(case_a_raw, "--tau", "0.05")["instability_interval"]
         assert lo == pytest.approx(0.0348488, abs=1e-6)
         assert hi == pytest.approx(8.9085, abs=1e-3)
 
@@ -327,7 +335,7 @@ class TestVerdicts:
         rep = spectrum_of(p0, r0, q0)
         assert rep.h_case.tag == tag
         assert rep.omegas == () and rep.first_rungs == ()
-        assert rep.tau0 is None and rep.transversality is None
+        assert rep.tau0 is rep.h_prime_z0 is rep.D is rep.re_lambda_prime is None
         assert {verdict_at(rep, tau).kind for tau in (0.0, 0.5, 50.0)} == {kind}
 
     @settings(max_examples=200, deadline=None)
@@ -408,22 +416,24 @@ class TestVerdicts:
             critical_delays(rep.coefficients, rep.omega0, j_max)
 
     def test_interval_is_the_next_ladder_delay(self, case_a, case_b, analysis_json):
-        # the interval ends at the smallest delay above tau0 on any ladder
+        # analysis.json's interval ends at the smallest delay above tau0 on any ladder
         rng = np.random.default_rng(23)
-        pairs = [case_a[1:], case_b[1:]] + [
-            sample_crossing_set(rng, "AB"[i % 2], require_stable_at_zero=True)[1:3]
-            for i in range(200)]
-        for coeffs, eq in pairs:
+        sets = [(*case_a, "A"), (*case_b, "B")] + [
+            (*sample_crossing_set(rng, "AB"[i % 2], require_stable_at_zero=True)[:3],
+             "AB"[i % 2]) for i in range(200)]
+        for p, coeffs, eq, variant in sets:
             rep = analyze_spectrum(eq, coeffs)
             assert rep.first_rungs == tuple(critical_delays(rep.coefficients, w, 0)[0]
                                             for w in rep.omegas)
             later = [t for w in rep.omegas for t in critical_delays(rep.coefficients, w, 3)
                      if t > rep.tau0]
-            want = (rep.tau0, min(later)) if later else None
+            want = [rep.tau0, min(later)] if later else None
             assert rep.stable_at_zero
-            assert verdict_at(rep, 0.0).interval == want
+            raw = {name: getattr(p, name) for name in PARAM_FIELDS}
+            doc = analysis_json(raw, "--variant", variant, "--jmax", "0")
+            assert doc["instability_interval"] == want
         # analysis.json reports the interval, not tau_next
-        assert "tau_next" not in analysis_json(CASE_A)["spectral"]
+        assert "tau_next" not in doc["spectral"]
 
     def test_report_to_dict_round_trips(self, analysis_json):
         # the spectral block of analysis.json, with the verdict at --tau last
@@ -498,7 +508,7 @@ class TestTimeUnit:
         assert abs(hopf_k.c1_0 - hopf.c1_0) <= tol * abs(hopf.c1_0)
         # Re c1(0) can cancel too: mu2_bar moves by the error of c1(0) over tau0 Re lambda'
         assert abs(k * hopf_k.mu2_bar - hopf.mu2_bar) <= tol * abs(
-            hopf.c1_0 / (rep.tau0 * rep.transversality.re_lambda_prime))
+            hopf.c1_0 / (rep.tau0 * rep.re_lambda_prime))
         assert hopf_k.direction == hopf.direction
         # the same verdict at each first rung and 1e-6 to either side of it
         probes = [0.0] + [rung * (1.0 + s * 1e-6)
