@@ -76,7 +76,8 @@ class ResidualCheckFailed(GoodwinDelayError):
 
 
 class DegenerateCrossing(GoodwinDelayError):
-    """h'(z0) vanishes; the transversality argument does not apply."""
+    """h has a double root z0 (case H3), where h'(z0) = 0: the transversality argument
+    does not apply."""
 
 
 class SingularSystem(GoodwinDelayError):

@@ -85,10 +85,6 @@ def stable_at_zero_delay(c: CharCoefficients) -> bool:
     return c.p0 > 0 and c.r0 + c.q0 > 0
 
 
-def h_prime(c: CharCoefficients, z: float) -> float:
-    return 2 * z + c.p0 ** 2 - 2 * c.r0
-
-
 def char_residual(c: CharCoefficients, omega: float, tau: float) -> float:
     """|P(i*omega; tau)|."""
     x = 1j * omega
@@ -97,16 +93,17 @@ def char_residual(c: CharCoefficients, omega: float, tau: float) -> float:
 
 def classify_h(c: CharCoefficients) -> HCase:
     """Assign the exhaustive H1..H6 tag and the positive roots of h."""
-    try:
-        a = c.p0 ** 2 - 2 * c.r0           # linear coefficient; h'(z) = 2z + a
-        const = (c.r0 - c.q0) * (c.r0 + c.q0)  # r0^2 - q0^2, exact to rounding near |r0| = q0
-        disc = a * a - 4 * const
-    except OverflowError:
-        disc = math.inf
-    if not math.isfinite(disc):  # as a non-finite p0, r0, q0, a or const leaves it
-        raise NonFiniteCoefficient(
-            f"h(z) of p0={c.p0!r}, r0={c.r0!r}, q0={c.q0!r} is not finite")
-    if within_rounding(disc, a * a + 4 * const, ROUNDING_TOL):
+    p2 = c.p0 * c.p0
+    a = p2 - 2 * c.r0  # linear coefficient; h'(z) = 2z + a
+    const = (c.r0 - c.q0) * (c.r0 + c.q0)  # r0^2 - q0^2, exact to rounding near |r0| = q0
+    # disc = a^2 - 4 const = p2 (p2 - 4 r0) + 4 q0^2: the first cancels as q0/r0 -> 0 (H6),
+    # the second as a -> 0 at the edge |r0| = q0; take the smaller first-order rounding bound
+    f, q4 = p2 * (p2 - 4 * c.r0), 4 * c.q0 * c.q0
+    bound_t, bound_f = 3 * (a * a + 4 * abs(const)), 2 * abs(f) + q4
+    disc, scale = (a * a - 4 * const, bound_t) if bound_t < bound_f else (f + q4, bound_f)
+    if not (math.isfinite(a) and math.isfinite(const) and math.isfinite(disc)):
+        raise NonFiniteCoefficient(f"h(z) of p0={c.p0!r}, r0={c.r0!r}, q0={c.q0!r} is not finite")
+    if within_rounding(disc, scale, ROUNDING_TOL):
         tag, roots = ("H3" if a < 0 else "H2"), (-a / 2.0,)  # a double root
     elif disc < 0:
         tag, roots = "H1", ()
@@ -146,17 +143,14 @@ def critical_delays(c: CharCoefficients, omega: float, j_max: int = 3) -> tuple[
     return ladder
 
 
-def transversality(c: CharCoefficients, z0: float, omega0: float,
-                   tau0: float) -> tuple[float, float, float]:
-    """(h'(z0), D, d(Re x)/dtau) at the crossing (omega0, tau0)."""
-    hp = h_prime(c, z0)
-    if within_rounding(hp, 2 * z0 + abs(c.p0 ** 2 - 2 * c.r0), ROUNDING_TOL):
-        raise DegenerateCrossing(f"h'(z0) = {hp!r} within {ROUNDING_TOL}*(2z0+|p0^2-2r0|) of 0")
-    wt = omega0 * tau0
-    D = ((c.p0 * math.cos(wt) - 2 * omega0 * math.sin(wt) - c.q0 * tau0) ** 2
-         + (c.p0 * math.sin(wt) + 2 * omega0 * math.cos(wt)) ** 2)
-    re_lp = omega0 * omega0 * hp / D
-    return hp, D, re_lp
+def transversality(c: CharCoefficients, hp: float, omega0: float,
+                   tau0: float) -> tuple[float, float]:
+    """(D, d(Re x)/dtau) at the crossing (omega0, tau0), where h'(z0) = HP."""
+    cos, sin = math.cos(omega0 * tau0), math.sin(omega0 * tau0)
+    re = c.p0 * cos - 2 * omega0 * sin - c.q0 * tau0
+    im = c.p0 * sin + 2 * omega0 * cos
+    D = re * re + im * im
+    return D, omega0 * omega0 * hp / D
 
 
 def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> SpectralReport:
@@ -170,8 +164,12 @@ def analyze_spectrum(eq: Equilibrium, coeffs: SubsystemCoefficients) -> Spectral
     rungs = tuple(critical_delays(c, w, 0)[0] for w in omegas)  # a rung and omega fix each
     k0 = rungs.index(min(rungs))
     tau0, omega0, z0 = rungs[k0], omegas[k0], h.roots[k0]
-    return SpectralReport(c, h, stable0, omegas, rungs, tau0, omega0, z0,
-                          *transversality(c, z0, omega0, tau0))
+    if h.tag == "H3":
+        raise DegenerateCrossing(f"z0 = {z0!r} is a double root of h (case H3): h'(z0) = 0")
+    # at a root of h, h'(z) = 2z + a = +-sqrt(disc): + at the larger, - at the smaller (H6)
+    hp = -math.sqrt(h.discriminant) if k0 else math.sqrt(h.discriminant)
+    return SpectralReport(c, h, stable0, omegas, rungs, tau0, omega0, z0, hp,
+                          *transversality(c, hp, omega0, tau0))
 
 
 def check_delay(tau: float) -> None:

@@ -10,7 +10,8 @@ fields of case A or B scaled by e^U(-4,4), a3, b3, c, s_pi and mu2 uniform on
 their ranges and s_w uniform below s_pi (variant B takes the consistent mu1).
 It adds EDGE_DRAWS case-A sets just inside the edge r0 = q0 (helpers.sample_edge_set).
 For each set with a crossing it compares every first rung with the 200-bit
-phase of mp_first_rungs and c1(0) with the Hassard reduction of hassard_c1.
+phase of mp_first_rungs, h'(z0) with the 200-bit +-sqrt(disc) of mp_h_prime (worst
+on H4 and on H6 sets apart) and c1(0) with the Hassard reduction of hassard_c1.
 Where the set is stable at zero and tau0 <= 1e3, it also checks the verdicts
 at tau0*(1 -+ 1e-3) against the argument-principle root count.  No verdict is
 checked beyond that delay: rhp_root_count samples its axis at 2*R*tau points,
@@ -28,11 +29,12 @@ import time
 
 import numpy as np
 
+from goodwin_delay.errors import GoodwinDelayError
 from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import analyze_spectrum, verdict_at
 
 from helpers import (CASE_A, CASE_B, build_set, consistent_mu1, hassard_c1, mp_first_rungs,
-                     rhp_root_count, sample_edge_set)
+                     mp_h_prime, rhp_root_count, sample_edge_set)
 
 SCALED = ("nu1", "nu2", "n", "gamma1", "gamma2", "a1", "a2", "b1", "delta")
 VERDICT_TAU0_MAX = 1e3  # beyond, rhp_root_count needs millions of axis points
@@ -66,6 +68,9 @@ def audit(coeffs, eq, stats):
     stats["crossing"] += 1
     ref = mp_first_rungs(rep.coefficients)
     stats["rung"] = max(stats["rung"], *(abs(x - y) / y for x, y in zip(rep.first_rungs, ref)))
+    ref = mp_h_prime(rep.coefficients, rep.z0)
+    slope = "slope " + rep.h_case.tag
+    stats[slope] = max(stats[slope], abs(rep.h_prime_z0 - ref) / abs(ref))
     ref = hassard_c1(eq, coeffs, rep.omega0, rep.tau0)
     stats["c1"] = max(stats["c1"], abs(hopf.c1_0 - ref) / abs(ref))
     if rep.stable_at_zero and rep.tau0 <= VERDICT_TAU0_MAX:
@@ -84,17 +89,19 @@ def main():
                "B": (DRAWS, lambda: build_set(draw_box(rng, "B"), "B")),
                "edge": (EDGE_DRAWS, lambda: sample_edge_set(rng)[:3])}
     regimes = collections.Counter()
-    print(f"{'sample':<6} {'valid':>6} {'crossing':>8} {'worst rung':>11} {'worst c1':>9} "
-          f"{'verdict mismatches (tau0 <= 1e3)':>33}")
+    print(f"{'sample':<6} {'valid':>6} {'crossing':>8} {'worst rung':>11}     h' H4     h' H6 "
+          f"{'worst c1':>9} {'verdict mismatches (tau0 <= 1e3)':>33}")
     for name, (count, draw) in samples.items():
-        stats = dict(valid=0, crossing=0, rung=0.0, c1=0.0, verdicts=0, mismatches=0)
+        stats = {"valid": 0, "crossing": 0, "rung": 0.0, "slope H4": 0.0, "slope H6": 0.0,
+                 "c1": 0.0, "verdicts": 0, "mismatches": 0}
         for _ in range(count):
             drawn = draw()
             if drawn is not None:
                 stats["valid"] += 1
                 regimes[(name, *audit(*drawn[1:], stats))] += 1
         print(f"{name:<6} {stats['valid']:>6} {stats['crossing']:>8} {stats['rung']:>11.2e} "
-              f"{stats['c1']:>9.2e} {stats['mismatches']:>24} of {stats['verdicts']:<6}")
+              f"{stats['slope H4']:>9.2e} {stats['slope H6']:>9.2e} {stats['c1']:>9.2e} "
+              f"{stats['mismatches']:>24} of {stats['verdicts']:<6}")
     print(f"\n{'sample':<6} {'h case':<6} {'interior':<8} {'direction':<22} {'sets':>6}")
     for (name, tag, interior, direction), n in sorted(regimes.items(), key=str):
         print(f"{name:<6} {tag:<6} {str(interior):<8} {direction:<22} {n:>6}")

@@ -63,15 +63,37 @@ def h_value(c, z):
     return abs(complex(c.r0 - z, c.p0 * math.sqrt(z))) ** 2 - c.q0 ** 2
 
 
+def _mp_h(c):
+    """(p0, r0, q0, a, disc) of h at the working precision from the float p0, r0 and q0,
+    with a = p0^2 - 2 r0 and disc = a^2 - 4(r0^2 - q0^2) from their definitions."""
+    p0, r0, q0 = map(mp.mpf, c)
+    a = p0 ** 2 - 2 * r0
+    return p0, r0, q0, a, a * a - 4 * (r0 ** 2 - q0 ** 2)
+
+
+def mp_discriminant(c):
+    """h's discriminant at 200 bits from the float p0, r0 and q0."""
+    with mp.workprec(200):
+        return float(_mp_h(c)[4])
+
+
+def mp_h_prime(c, z):
+    """h'(z) = 2z + a at the 200-bit root of h nearest Z: +-sqrt(disc), + at the larger
+    root."""
+    with mp.workprec(200):
+        _, _, _, a, disc = _mp_h(c)
+        root = mp.sqrt(disc)
+        return float(min((root, -root), key=lambda hp: abs((hp - a) / 2 - z)))
+
+
 def mp_first_rungs(c):
     """tau^0 of each crossing frequency, descending, at 200 bits from the float p0, r0
     and q0: omega^2 is re-solved as a root of h, so ((omega^2 - r0)/q0, p0 omega/q0)
     lies on the unit circle, and the phase is its arccos, reflected where the sine
     is negative."""
     with mp.workprec(200):
-        p0, r0, q0 = map(mp.mpf, c)
-        a = p0 ** 2 - 2 * r0
-        root = mp.sqrt(a * a - 4 * (r0 ** 2 - q0 ** 2))
+        p0, r0, q0, a, disc = _mp_h(c)
+        root = mp.sqrt(disc)
         rungs = []
         for z in ((-a + root) / 2, (-a - root) / 2):
             if z > 0:

@@ -189,7 +189,7 @@ class TestAnalyze:
             ladder[:k] for ladder in ref["spectral"].pop("tau_ladder")]
         assert doc == ref
         assert doc["spectral"]["verdict"] == "stable"
-        assert doc["instability_interval"] == [3.6024392653131576, 7.278808609276174]
+        assert doc["instability_interval"] == [3.6024392653131563, 7.278808609276174]
 
     def test_singular_system_exits_2(self, config_a, tmp_path, capsys, monkeypatch):
         # no valid configuration makes Delta(2i omega0) singular (2i omega0
@@ -545,14 +545,14 @@ PINNED_SWEEPS = {
               "cb6bec24d5b17f4a191e25335352413e8557aab09a42220f537f09b676b96baa"),
     "delta_A": (["--param", "delta", "--start", "3.5", "--stop", "5",
                  "--count", "101", "--tau", "0.03", "--with-hopf"],
-                "d08dd0aaf6df29fc35d96d1ffad4b174d105536af7e80780b660e3425f9e7e41"),
+                "b5de9b8df7d132a9362326760f98ee3a490f1178c4fa1e39e555439902d4f074"),
     # both re-derive g/rho0/rho1 per row and cross constraint edges
     # its last row reads 1.2, not 1.1999999999999997, since the grid ends at stop
     "s_pi_A": (["--param", "s_pi", "--start", "0.01", "--stop", "1.2",
                 "--count", "301", "--tau", "0.03", "--with-hopf"],
-               "bf193d1e04da2fa4636722f19b4e8f9bae964ba2ff1ed2c1909649b74565c5fc"),
+               "09b7085bc294842083c99a58475e5ade3b10de91b9d4d1eae5483ecff7c68a23"),
     "a3_A": (["--param", "a3", "--start", "0.5", "--stop", "1.2", "--count", "301"],
-             "a5b582d62d68d11e22737458f56ea24a9cb4cdaec79e54f41471f09af3ec396d"),
+             "63280265fb83de30c0206be809a7d60dc840f7efb7aeb58e7bca0eddbe596b1c"),
 }
 
 
@@ -667,8 +667,8 @@ def test_simulate_bytes_are_pinned(name, config_a, config_b, tmp_path, capsys):
 # sha256 of analyze's analysis.json, stdout and stderr
 PINNED_ANALYSES = {
     "A_tau0.05": (CASE_A, ["--tau", "0.05"], (
-        "aa49d74f668341828d1ae1908e0d79222b06755df5188c5cde34845e82a93790",
-        "f2c88e464a17ba8a60f7c8aae22f7e3e17c90df81bfb46d28274200e87ee0c8f",
+        "e5feaf8c2709088750743998293d188994477c912952b4fe17ad47886dc6051e",
+        "9731a629596700f2dd95a2d4275219670481a6f59af34cfe5a803f3d8947eb57",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
     "B": (CASE_B, ["--variant", "B"], (
         "ebfd5bdf8f0efd9babca5d4c6a9b16aef0c0432f40c3ed27b1c7adb36d8bdd95",
@@ -676,8 +676,8 @@ PINNED_ANALYSES = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
     # the equilibrium lies outside (0,1)^2: one warning line on stderr
     "A_outside": ({**CASE_A, "gamma1": 0.5}, [], (
-        "58935dcc28a6c4ff1bc69f668cf4030e0737b3f7d06247e4023bed8827a9cb88",
-        "65a0ad5054d0b527df0bd27c40979b5ab349ca43024bc2a0dcc8d3a4c6ecb832",
+        "003fba76d3abf71ea45b4e49951d29c0bedee2138da4171e7dfc11f80a1a957d",
+        "e45b047c3901ae121bb978aca3922210dece7233a6c1ebc5fea3cce49b4e5e74",
         "db6c439c8c54aaa3490cb2e35a572fadc85a1470b4c7fe1f35840adb44d0f4ff")),
     # H1, stable or unstable at every delay: no crossing and "hopf": null
     "A_H1": ({**CASE_A, "gamma2": 3.0}, [], (

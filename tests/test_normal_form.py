@@ -42,7 +42,7 @@ from helpers import (
 )
 
 # full-precision values of the characteristic-matrix reduction
-C1_REF = 1.280119536656743e-05 - 0.012877429395038805j
+C1_REF = 1.2801195366567369e-05 - 0.012877429395038812j
 C1_REF_B = 1.1177770405873871e-06 - 0.007102836932249089j
 
 # Case A's fields jittered and rounded to 4 digits.  Along a2, Re c1(0)

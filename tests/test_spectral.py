@@ -19,15 +19,23 @@ from goodwin_delay.spectral import (
     char_residual,
     classify_h,
     critical_delays,
-    h_prime,
     stability_verdict,
     stable_at_zero_delay,
-    transversality,
     verdict_at,
 )
 
-from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, h_value, mp_first_rungs,
-                     rhp_root_count, sample_crossing_set, sample_edge_set)
+from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, build_set, h_value,
+                     mp_discriminant, mp_first_rungs, mp_h_prime, rhp_root_count,
+                     sample_crossing_set, sample_edge_set)
+
+# tests/audit.py's draw A-19836 (seed 0): H6 with q0/r0 = 0.018, where the textbook
+# discriminant a^2 - 4(r0^2 - q0^2) cancels to 3.8e-13 relative
+A_19836 = dict(mu1=0.0, mu2=0.7494194082453309, nu1=0.0023494067395315086,
+               nu2=0.5466912007098008, n=0.0005435444985574672, gamma1=0.004372828857747136,
+               gamma2=0.36747810031814404, a1=0.021786786444928274, a2=0.019551027914870962,
+               a3=0.5702548748285109, b1=0.03829822038336844, b2=0.0, b3=0.816542270346465,
+               c=0.810887174865301, s_pi=0.5467768227648584, s_w=0.2604732603723806,
+               delta=105.62562797871493)
 
 
 def mp_char_coefficients(eq, coeffs):
@@ -119,7 +127,8 @@ class TestClassifyH:
         assert len(h.roots) == 2
         z1, z2 = h.roots
         assert z1 > z2 > 0
-        assert h_prime(c, z1) > 0 > h_prime(c, z2)
+        a = c.p0 * c.p0 - 2 * c.r0
+        assert 2 * z1 + a > 0 > 2 * z2 + a  # h'(z) = 2z + a
         for z in h.roots:
             assert h_value(c, z) == pytest.approx(0.0, abs=1e-12)
 
@@ -212,8 +221,9 @@ class TestCriticalDelays:
                 for tau in critical_delays(c, omega, j_max=2):
                     assert char_residual(c, omega, tau) < 1e-9
 
-    def test_residual_guard_names_its_bound(self, case_a, monkeypatch):
-        _, coeffs, eq = case_a
+    def test_residual_guard_names_its_bound(self, case_b, monkeypatch):
+        # case B, as case A's rung 0 has a residual of exactly 0
+        _, coeffs, eq = case_b
         monkeypatch.setattr(spectral, "LADDER_RESIDUAL_TOL", 1e-300)
         with pytest.raises(ResidualCheckFailed,
                            match=r" exceeds 1e-300\*\(w\^2\+\|p0\|w\+\|r0\|\+\|q0\|\) = "):
@@ -282,12 +292,39 @@ class TestTransversality:
         assert hp > 0
 
     def test_degenerate_crossing_guard(self):
-        c = CharCoefficients(p0=0.2, r0=0.5, q0=0.3)
-        # z0 = -(p0^2 - 2 r0)/2 makes h' vanish identically
-        z0 = (2 * c.r0 - c.p0 ** 2) / 2.0
+        # an H3 set: h' vanishes at the double root z0 = -a/2 > 0
+        p0, r0 = 0.25, 0.5
+        a = p0 * p0 - 2 * r0
+        q0 = math.sqrt(r0 * r0 - a * a / 4.0)
+        assert classify_h(CharCoefficients(p0=p0, r0=r0, q0=q0)).tag == "H3"
         with pytest.raises(DegenerateCrossing,
-                           match=r"within 1e-12\*\(2z0\+\|p0\^2-2r0\|\) of 0$"):
-            transversality(c, z0, math.sqrt(z0), 1.0)
+                           match=r"is a double root of h \(case H3\): h'\(z0\) = 0$"):
+            spectrum_of(p0, r0, q0)
+
+    @pytest.mark.parametrize("raw", [A_19836, CASE_H6], ids=["A-19836", "H6"])
+    def test_h6_discriminant_and_slope_match_200_bits(self, raw):
+        # h'(z0) = +-sqrt(disc) exactly, so the slope is as good as the discriminant
+        _, coeffs, eq = build_set(raw, "A")
+        rep = analyze_spectrum(eq, coeffs)
+        assert rep.h_case.tag == "H6"
+        c = rep.coefficients
+        assert rep.h_case.discriminant == pytest.approx(mp_discriminant(c), rel=1e-15, abs=0.0)
+        assert rep.h_prime_z0 == pytest.approx(mp_h_prime(c, rep.z0), rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=61)  # from p2 (p2 - 4 r0) + 4 q0^2 alone, h'(z0) is 6.0e-13 off here
+    def test_slope_at_the_r0_q0_edge_matches_200_bits(self, seed):
+        # each form of the discriminant cancels somewhere: p2 (p2 - 4 r0) + 4 q0^2 here
+        _, coeffs, eq, _, _ = sample_edge_set(np.random.default_rng(seed))
+        rep = analyze_spectrum(eq, coeffs)
+        assert rep.h_prime_z0 == pytest.approx(mp_h_prime(rep.coefficients, rep.z0),
+                                               rel=1e-13, abs=0.0)
+
+    def test_case_a_tau0_is_correctly_rounded(self, case_a):
+        _, coeffs, eq = case_a
+        rep = analyze_spectrum(eq, coeffs)
+        assert rep.tau0 == mp_first_rungs(rep.coefficients)[0] == 0.0348488443874983
 
     def test_matches_finite_difference_of_root(self, case_a):
         # track the characteristic root crossing the axis and compare the
