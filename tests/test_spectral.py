@@ -266,12 +266,16 @@ class TestCriticalDelays:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @example(seed=13723)  # the textbook root formula's worst draw: tau0 5.2e-2 off
     @example(seed=7791)  # its omega here fails the ladder residual check
+    @example(seed=61)  # from p2 (p2 - 4 r0) + 4 q0^2 alone, h'(z0) is 6.0e-13 off here
     def test_first_rungs_at_the_r0_q0_edge_match_a_200_bit_phase(self, seed):
-        # r0^2 - q0^2 and -a + sqrt(disc) both cancel as r0/q0 -> 1 with a > 0
+        # r0^2 - q0^2 and -a + sqrt(disc) both cancel as r0/q0 -> 1 with a > 0, and so
+        # does the discriminant's form p2 (p2 - 4 r0) + 4 q0^2 as a -> 0
         _, coeffs, eq, _, _ = sample_edge_set(np.random.default_rng(seed))
         rep = analyze_spectrum(eq, coeffs)
         assert rep.first_rungs == pytest.approx(mp_first_rungs(rep.coefficients),
                                                 rel=1e-12, abs=0.0)
+        assert rep.h_prime_z0 == pytest.approx(mp_h_prime(rep.coefficients, rep.z0),
+                                               rel=1e-13, abs=0.0)
 
 
 class TestTransversality:
@@ -310,16 +314,6 @@ class TestTransversality:
         c = rep.coefficients
         assert rep.h_case.discriminant == pytest.approx(mp_discriminant(c), rel=1e-15, abs=0.0)
         assert rep.h_prime_z0 == pytest.approx(mp_h_prime(c, rep.z0), rel=1e-15, abs=0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1))
-    @example(seed=61)  # from p2 (p2 - 4 r0) + 4 q0^2 alone, h'(z0) is 6.0e-13 off here
-    def test_slope_at_the_r0_q0_edge_matches_200_bits(self, seed):
-        # each form of the discriminant cancels somewhere: p2 (p2 - 4 r0) + 4 q0^2 here
-        _, coeffs, eq, _, _ = sample_edge_set(np.random.default_rng(seed))
-        rep = analyze_spectrum(eq, coeffs)
-        assert rep.h_prime_z0 == pytest.approx(mp_h_prime(rep.coefficients, rep.z0),
-                                               rel=1e-13, abs=0.0)
 
     def test_case_a_tau0_is_correctly_rounded(self, case_a):
         _, coeffs, eq = case_a
