@@ -194,10 +194,12 @@ def equilibrium(coeffs: SubsystemCoefficients, p: ModelParameters) -> Equilibriu
     else:
         if rho1 * coeffs.delta0 == 0.0:
             raise EquilibriumUndefined("rho1 * delta0 = 0")
+        if (den := p.nu2 * (1.0 - p.mu2)) == 0.0:  # a product that underflows
+            raise EquilibriumUndefined("nu2 * (1 - mu2) = 0")
         lambda_e = coeffs.beta0 / coeffs.delta0
         beta_e = (coeffs.wage_damping * coeffs.beta0
                   - coeffs.lambda0 * coeffs.delta0) / (rho1 * coeffs.delta0)
-        lambda_star = (p.mu1 - p.nu1 * (1.0 - p.mu2)) / (p.nu2 * (1.0 - p.mu2))
+        lambda_star = (p.mu1 - p.nu1 * (1.0 - p.mu2)) / den
     if not (math.isfinite(beta_e) and math.isfinite(lambda_e)):
         raise EquilibriumUndefined(f"equilibrium ({beta_e}, {lambda_e}) is not finite")
     if lambda_star is not None and abs(lambda_star - lambda_e) > PSI_CONSISTENCY_TOL:

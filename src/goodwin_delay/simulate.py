@@ -15,10 +15,11 @@ the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
 m steps later, so M is a ring of m slots.  X, the ring and L (lambda) are
 ``array('d')`` buffers, X and L trimmed in place into the two columns.
 
-The module needs only the standard library: the envelope, classification
-and period diagnostics work on the columns in plain floats, and every mean
-is the correctly rounded sum math.fsum (Shewchuk, Discrete Comput. Geom.
-18, 1997) divided by the item count.
+The module needs only the standard library.  The envelope, classification
+and period diagnostics read the columns in place through memoryviews they
+release before returning, and every mean is the correctly rounded sum
+math.fsum (Shewchuk, Discrete Comput. Geom. 18, 1997) divided by the item
+count.
 """
 
 from __future__ import annotations
@@ -137,10 +138,10 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     return Trajectory(beta=X, lambda_=L, step=h, overflow=overflow)
 
 
-def _mean(x) -> float:
-    """math.fsum(X) / len(X), with an overflow of the sum typed."""
+def _mean(x, count: int | None = None) -> float:
+    """math.fsum(X) / COUNT (by default len(X)), with an overflow of the sum typed."""
     try:
-        return math.fsum(x) / len(x)
+        return math.fsum(x) / (len(x) if count is None else count)
     except OverflowError:
         raise InvalidInput("the mean of a diagnostic overflows") from None
 
@@ -170,11 +171,12 @@ def _windows(traj: Trajectory, window: float | None) -> tuple[int, int]:
 
 
 def _peak_to_peak(x, steps: int, first: int, stop: int) -> list[float]:
-    """max - min of X over windows FIRST..STOP-1 of STEPS items each."""
+    """max - min of X over windows FIRST..STOP-1 of STEPS items each, read in place."""
     out = []
-    for k in range(first * steps, stop * steps, steps):
-        w = x[k:k + steps]
-        out.append(max(w) - min(w))
+    with memoryview(x) as column:  # a view left unreleased would keep X from resizing
+        for k in range(first * steps, stop * steps, steps):
+            with column[k:k + steps] as w:
+                out.append(max(w) - min(w))
     return out
 
 
@@ -185,7 +187,7 @@ def amplitude_envelope(traj: Trajectory, window: float):
     the whole windows of WINDOW; a center is the mean of its window's times.
     """
     steps, nwin = _windows(traj, window)
-    centers = [_mean([j * traj.step for j in range(k, k + steps)])
+    centers = [_mean(map(traj.step.__rmul__, range(k, k + steps)), steps)
                for k in range(0, nwin * steps, steps)]
     return (centers, _peak_to_peak(traj.beta, steps, 0, nwin),
             _peak_to_peak(traj.lambda_, steps, 0, nwin))
@@ -221,15 +223,16 @@ def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
     if not 0 < tail_fraction <= 1:
         raise InvalidInput(f"tail_fraction must be in (0, 1], got {tail_fraction!r}")
     start = int(len(traj.beta) * (1.0 - tail_fraction))
-    h, tail = traj.step, traj.beta[start:]
-    mean = _mean(tail) if len(tail) else 0.0
-    # a loop over the deviations: as fast as a list of them, in O(1) memory
-    crossings, x = [], map(mean.__rsub__, tail)
-    x0 = next(x, 0.0)
-    for i, x1 in enumerate(x, start):
-        if x0 * x1 < 0:  # linear interpolation of the crossing time
-            crossings.append(i * h + x0 / (x0 - x1) * ((i + 1) * h - i * h))
-        x0 = x1
+    h, crossings = traj.step, []
+    with memoryview(traj.beta) as column, column[start:] as tail:
+        mean = _mean(tail) if len(tail) else 0.0
+        # a loop over the deviations of the tail, read in place: memory for the crossings only
+        x = map(mean.__rsub__, tail)
+        x0 = next(x, 0.0)
+        for i, x1 in enumerate(x, start):
+            if x0 * x1 < 0:  # linear interpolation of the crossing time
+                crossings.append(i * h + x0 / (x0 - x1) * ((i + 1) * h - i * h))
+            x0 = x1
     if len(crossings) < 3:
         raise NoOscillation(f"{len(crossings)} mean-crossings in the tail, need >= 3")
     gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]

@@ -137,10 +137,13 @@ class TestAnalyze:
     @pytest.mark.parametrize("variant, overrides, message", [
         ("A", {"a2": 5e-324, "gamma2": 0.0}, "rho1*nu2 + g*delta*(rho1 + gamma2) = 0"),
         ("B", {"a2": 5e-324}, "rho1 * delta0 = 0"),
-    ], ids=["A", "B"])
+        ("B", {"nu2": 5e-324}, "nu2 * (1 - mu2) = 0"),
+        ("B", {"nu2": 1e-320, "mu2": 1 - 2**-53}, "nu2 * (1 - mu2) = 0"),
+    ], ids=["A", "B", "B-nu2", "B-mu2"])
     def test_undefined_equilibrium_exits_2(self, variant, overrides, message, tmp_path,
                                            capsys):
-        # a2 = 5e-324 rounds rho1 to 0, so neither closed form has a denominator
+        # a2 = 5e-324 rounds rho1 to 0, so neither closed form has a denominator;
+        # B's lambda_e* divides by nu2 * (1 - mu2), a product that can underflow to 0
         cfg = tmp_path / "rho1.json"
         cfg.write_text(json.dumps({**(CASE_A if variant == "A" else CASE_B), **overrides}))
         rc = main(["analyze", "--config", str(cfg), "--variant", variant,
@@ -591,6 +594,24 @@ def test_sweep_output_does_not_depend_on_the_workers(axis, split_rows, config_a,
         runs.append(((out / "sweep.csv").read_bytes(), *capsys.readouterr()))
     assert runs[0][2].endswith(" rows have an equilibrium outside (0,1)^2\n")
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_underflowing_equilibrium_row_is_an_error_row(split_rows, config_b, tmp_path):
+    # the last row, nu2 = 5e-324, is written by the third process; B's lambda_e*
+    # divides by nu2 * (1 - mu2), which underflows to 0 there
+    out = tmp_path / "sw"
+    runs = []
+    for workers in (1, 3):
+        forks = split_rows(workers)
+        assert main(["sweep", "--config", config_b, "--variant", "B", "--param", "nu2",
+                     "--start", "0.03", "--stop", "5e-324", "--count", "30",
+                     "--out", str(out)]) == 0
+        assert len(forks) == workers - 1
+        assert_no_children_left(out)
+        runs.append((out / "sweep.csv").read_bytes())
+    assert runs[1] == runs[0]
+    last = read_csv(out / "sweep.csv")[-1]
+    assert (last["nu2"], last["error"]) == ("5e-324", "EquilibriumUndefined")
 
 
 @pytest.mark.parametrize("row, exc", [

@@ -192,6 +192,9 @@ class TestCoefficients:
         p = validate_parameters(case_a_raw)  # mu2 = 1
         with pytest.raises(VariantConstraint):
             subsystem_coefficients(p, "B")
+        # and a variant that is neither A nor B is refused for any parameters
+        with pytest.raises(VariantConstraint, match="unknown variant 'C'"):
+            subsystem_coefficients(p, "C")
 
     def test_b_reduces_to_a_without_work_intensity(self, case_b_raw):
         # mu1 = 0, mu2 = 1 in the A-bundle matches B's structure when

@@ -424,13 +424,76 @@ def test_simulate_peak_memory_per_grid_slot(tau, t_end, overflow, case_a):
     assert peak <= 17 * slots
 
 
-def test_oscillation_period_peak_memory_per_row(case_a):
-    # the copy of the tail that the mean sums is its only per-item memory
-    _, coeffs, eq = case_a
-    traj = simulate(coeffs, 0.05, perturbed_history(eq), 500.0)
-    period, peak = _peak_bytes(oscillation_period, traj)
-    assert period > 0
-    assert peak <= 16 * len(traj.times)
+@pytest.fixture(scope="module")
+def runs_of_two_lengths():
+    """Case A at tau = 0.05 to t = 500 in steps of 0.01 and of 0.001: 50,001
+    and 500,001 rows of one oscillation, so the same windows and crossings."""
+    p = validate_parameters(dict(CASE_A))
+    coeffs = subsystem_coefficients(p, "A")
+    hist = perturbed_history(equilibrium(coeffs, p))
+    return [simulate(coeffs, 0.05, hist, 500.0, step_hint) for step_hint in (0.01, 0.001)]
+
+
+# the tracemalloc peak a diagnostic may reach on either run above: its views and
+# its lists of per-window or per-crossing values, and not one byte per row
+DIAGNOSTIC_PEAK_BYTES = 8192
+
+
+def test_oscillation_period_peak_memory_per_row(runs_of_two_lengths):
+    # the tail is read in place, which a copy of it (8 bytes a row) would fail
+    periods = []
+    for traj in runs_of_two_lengths:
+        period, peak = _peak_bytes(oscillation_period, traj)
+        assert peak <= DIAGNOSTIC_PEAK_BYTES
+        periods.append(period)
+    assert [len(traj.beta) for traj in runs_of_two_lengths] == [50_001, 500_001]
+    assert periods[1] == pytest.approx(periods[0], rel=1e-3)
+
+
+@pytest.mark.parametrize("diagnostic", [
+    classify_dynamics, lambda traj: amplitude_envelope(traj, 50.0)],
+    ids=["classify_dynamics", "amplitude_envelope"])
+def test_window_diagnostics_peak_memory_per_row(diagnostic, runs_of_two_lengths):
+    # each window is read in place, which a copy of it (a tenth of the run) would fail;
+    # so are the envelope's centres, which a list of each window's times would fail
+    for traj in runs_of_two_lengths:
+        result, peak = _peak_bytes(diagnostic, traj)
+        assert peak <= DIAGNOSTIC_PEAK_BYTES
+        assert result == "growing" or len(result[0]) == 10
+
+
+def _columns(values):
+    """A trajectory in steps of 0.1 over new array('d') columns of VALUES."""
+    return Trajectory(beta=array("d", values), lambda_=array("d", values), step=0.1)
+
+
+SINE = [math.sin(0.1 * k) for k in range(1001)]  # a period of 2 pi over 100 time units
+DECAY = [math.exp(-0.01 * k) for k in range(1001)]
+
+
+@pytest.mark.parametrize("diagnostic, values, error", [
+    (lambda traj: amplitude_envelope(traj, 5.0), SINE, None),
+    (lambda traj: amplitude_envelope(traj, 500.0), SINE, WindowTooShort),
+    (classify_dynamics, SINE, None),
+    # one window of 60 time units, so none to compare after the skip
+    (lambda traj: classify_dynamics(traj, window=60.0), SINE, WindowTooShort),
+    (oscillation_period, SINE, None),
+    (oscillation_period, DECAY, NoOscillation),
+    (oscillation_period, [1e308] * 10, InvalidInput),  # the tail's mean overflows
+], ids=["envelope", "envelope-WindowTooShort", "classify", "classify-WindowTooShort",
+        "period", "period-NoOscillation", "period-InvalidInput"])
+def test_diagnostics_leave_the_columns_resizable(diagnostic, values, error):
+    # a view of a column that outlives the call makes array('d') refuse to
+    # resize (BufferError); the error and its traceback are still alive here
+    traj = _columns(values)
+    if error is None:
+        diagnostic(traj)
+    else:
+        with pytest.raises(error) as raised:
+            diagnostic(traj)
+    traj.beta.append(0.0)
+    traj.lambda_.append(0.0)
+    assert len(traj.beta) == len(traj.lambda_) == len(values) + 1
 
 
 def test_library_and_cli_never_read_the_times(case_a, tmp_path, monkeypatch, capsys):
