@@ -194,7 +194,7 @@ def equilibrium(coeffs: SubsystemCoefficients, p: ModelParameters) -> Equilibriu
     else:
         if rho1 * coeffs.delta0 == 0.0:
             raise EquilibriumUndefined("rho1 * delta0 = 0")
-        if (den := p.nu2 * (1.0 - p.mu2)) == 0.0:  # a product that underflows
+        if (den := p.nu2 * (1.0 - p.mu2)) == 0.0:  # both positive, the product can underflow
             raise EquilibriumUndefined("nu2 * (1 - mu2) = 0")
         lambda_e = coeffs.beta0 / coeffs.delta0
         beta_e = (coeffs.wage_damping * coeffs.beta0

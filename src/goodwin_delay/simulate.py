@@ -17,9 +17,9 @@ m steps later, so M is a ring of m slots.  X, the ring and L (lambda) are
 
 The module needs only the standard library.  The envelope, classification
 and period diagnostics read the columns in place through memoryviews they
-release before returning, and every mean is the correctly rounded sum
-math.fsum (Shewchuk, Discrete Comput. Geom. 18, 1997) divided by the item
-count.
+release before they return or raise, and every mean is the correctly
+rounded sum math.fsum (Shewchuk, Discrete Comput. Geom. 18, 1997) divided
+by the item count.
 """
 
 from __future__ import annotations
