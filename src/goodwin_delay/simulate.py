@@ -15,8 +15,8 @@ the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
 m steps later, so M is a ring of m slots.  X, the ring and L (lambda) are
 ``array('d')`` buffers, X and L trimmed in place into the two columns.
 
-The module needs only the standard library.  The envelope, classification
-and period diagnostics read the columns in place through memoryviews they
+The module needs only the standard library.  The classification and
+period diagnostics read the beta column in place through memoryviews they
 release before they return or raise, and every mean is the correctly
 rounded sum math.fsum (Shewchuk, Discrete Comput. Geom. 18, 1997) divided
 by the item count.
@@ -37,6 +37,8 @@ OVERFLOW_LIMIT = 1e6
 # Cap on the grid slots m + n of one run: at 16 bytes per slot at the
 # peak (X and L, and the m-slot ring, of 8-byte doubles), near 80 MB.
 MAX_STEPS = 5_000_000
+# classify_dynamics' bound on the mean relative drift of the envelope per window
+DRIFT_TOL = 0.02
 
 
 class HistorySpec(NamedTuple):
@@ -138,97 +140,53 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     return Trajectory(beta=X, lambda_=L, step=h, overflow=overflow)
 
 
-def _mean(x, count: int | None = None) -> float:
-    """math.fsum(X) / COUNT (by default len(X)), with an overflow of the sum typed."""
+def _mean(x) -> float:
+    """math.fsum(X) / len(X), with an overflow of the sum typed."""
     try:
-        return math.fsum(x) / (len(x) if count is None else count)
+        return math.fsum(x) / len(x)
     except OverflowError:
         raise InvalidInput("the mean of a diagnostic overflows") from None
 
 
-def _windows(traj: Trajectory, window: float | None) -> tuple[int, int]:
-    """(grid steps per window, whole windows in TRAJ) for WINDOW, by default
-    a tenth of the run (0.0, too short, for a run of one row)."""
-    default = window is None
-    if default:
-        end = (len(traj.beta) - 1) * traj.step
-        window = end / 10.0
-    elif not (math.isfinite(window) and window > 0):
-        raise InvalidInput(f"window must be finite and positive, got {window!r}")
-    steps = int(round(window / traj.step))
+def classify_dynamics(traj: Trajectory) -> str:
+    """Classify the envelope trend: 'decaying', 'sustained' or 'growing'.
+
+    Takes the beta peak-to-peak amplitude over windows of a tenth of the
+    run, skips the first fifth of the windows as transient, and compares the
+    geometric-mean drift between neighbouring windows against 2%.
+    """
+    end = (len(traj.beta) - 1) * traj.step
+    steps = int(round(end / 10.0 / traj.step))
     if steps < 5:
-        if not default:
-            raise WindowTooShort(f"window {window} spans {steps} < 5 steps")
         if traj.overflow:
             raise WindowTooShort("the state overflowed or turned non-finite: the run ends"
                                  f" at t={end!r}, too early to classify")
         raise WindowTooShort(f"a run of {len(traj.beta) - 1} steps is too short to classify"
                              ": its default window, a tenth of the run, spans < 5 steps")
-    nwin = len(traj.beta) // steps
-    if nwin == 0:
-        raise WindowTooShort("trajectory shorter than one window")
-    return steps, nwin
-
-
-def _peak_to_peak(x, steps: int, first: int, stop: int) -> list[float]:
-    """max - min of X over windows FIRST..STOP-1 of STEPS items each, read in place."""
-    out = []
-    with memoryview(x) as column:  # a view left unreleased would keep X from resizing
-        for k in range(first * steps, stop * steps, steps):
+    # at least 9 windows of 5 steps, so at least 8 amplitudes after the skip
+    nwin, amp = len(traj.beta) // steps, []
+    with memoryview(traj.beta) as column:  # a view left unreleased would keep beta from resizing
+        for k in range(nwin // 5 * steps, nwin * steps, steps):
             with column[k:k + steps] as w:
-                out.append(max(w) - min(w))
-    return out
-
-
-def amplitude_envelope(traj: Trajectory, window: float):
-    """Per-window peak-to-peak amplitude of both components.
-
-    Returns lists (window_centers, beta_amplitude, lambda_amplitude) over
-    the whole windows of WINDOW; a center is the mean of its window's times.
-    """
-    steps, nwin = _windows(traj, window)
-    centers = [_mean(map(traj.step.__rmul__, range(k, k + steps)), steps)
-               for k in range(0, nwin * steps, steps)]
-    return (centers, _peak_to_peak(traj.beta, steps, 0, nwin),
-            _peak_to_peak(traj.lambda_, steps, 0, nwin))
-
-
-def classify_dynamics(traj: Trajectory, window: float | None = None,
-                      drift_tol: float = 0.02, skip_fraction: float = 0.2) -> str:
-    """Classify the envelope trend: 'decaying', 'sustained' or 'growing'.
-
-    Compares the geometric-mean per-window drift of the beta envelope
-    (after a transient skip) against the drift tolerance.  Only the beta
-    amplitudes of the windows after the skip are computed.
-    """
-    if not (0 <= drift_tol < 1 and 0 <= skip_fraction < 1):
-        raise InvalidInput(f"drift_tol={drift_tol!r} and skip_fraction={skip_fraction!r}"
-                           " must each lie in [0, 1)")
-    steps, nwin = _windows(traj, window)
-    amp = _peak_to_peak(traj.beta, steps, int(nwin * skip_fraction), nwin)
-    if len(amp) < 2:
-        raise WindowTooShort("too few windows after transient skip")
+                amp.append(max(w) - min(w))
     tiny = 1e-300
-    ratios = [math.log((a1 + tiny) / (a0 + tiny)) for a0, a1 in zip(amp, amp[1:])]
-    mean = _mean(ratios)
-    if mean > math.log1p(drift_tol):
+    mean = _mean([math.log((a1 + tiny) / (a0 + tiny)) for a0, a1 in zip(amp, amp[1:])])
+    if mean > math.log1p(DRIFT_TOL):
         return "growing"
-    if mean < math.log1p(-drift_tol):
+    if mean < math.log1p(-DRIFT_TOL):
         return "decaying"
     return "sustained"
 
 
-def oscillation_period(traj: Trajectory, tail_fraction: float = 0.5) -> float:
-    """Mean spacing of alternate mean-crossings of beta in the tail."""
-    if not 0 < tail_fraction <= 1:
-        raise InvalidInput(f"tail_fraction must be in (0, 1], got {tail_fraction!r}")
-    start = int(len(traj.beta) * (1.0 - tail_fraction))
+def oscillation_period(traj: Trajectory) -> float:
+    """Mean spacing of alternate mean-crossings of beta in the second half of the run."""
+    start = len(traj.beta) // 2
     h, crossings = traj.step, []
     with memoryview(traj.beta) as column, column[start:] as tail:
-        mean = _mean(tail) if len(tail) else 0.0
+        mean = _mean(tail)  # the tail holds at least the last row
         # a loop over the deviations of the tail, read in place: memory for the crossings only
         x = map(mean.__rsub__, tail)
-        x0 = next(x, 0.0)
+        x0 = next(x)
         for i, x1 in enumerate(x, start):
             if x0 * x1 < 0:  # linear interpolation of the crossing time
                 crossings.append(i * h + x0 / (x0 - x1) * ((i + 1) * h - i * h))

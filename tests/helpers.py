@@ -20,7 +20,7 @@ from mpmath import mp
 
 from goodwin_delay.errors import GoodwinDelayError
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
-from goodwin_delay.simulate import HistorySpec, amplitude_envelope, oscillation_period, simulate
+from goodwin_delay.simulate import HistorySpec, simulate
 from goodwin_delay.spectral import char_coefficients, classify_h
 
 CASE_A = dict(mu1=0.0, mu2=1.0, nu1=0.02, nu2=0.04, n=0.01, gamma1=0.01,
@@ -410,11 +410,10 @@ def drift_oracle(coeffs, eq, report, a0=0.05, t_end=1500.0, t_fit=300.0):
     tau0, omega0 = report.tau0, report.omega0
     traj = simulate(coeffs, tau0, HistorySpec(beta=eq.beta_e - a0, lambda_=eq.lambda_e),
                     t_end)
-    centers, amp, _ = amplitude_envelope(traj, 2.0 * math.pi / omega0)
-    t = np.asarray(centers)
-    a = np.asarray(amp)[t > t_fit]
+    t, amp, _ = np_amplitude_envelope(traj, 2.0 * math.pi / omega0)
+    a = amp[t > t_fit]
     slope = np.polyfit(t[t > t_fit], 1.0 / a ** 2, 1)[0]
-    period = oscillation_period(traj, tail_fraction=1.0 - t_fit / t_end)
+    period = np_oscillation_period(traj, tail_fraction=1.0 - t_fit / t_end)
     shift = 2.0 * math.pi / period - omega0
     return complex(-8.0 * tau0 * slope, 16.0 * tau0 * shift / float(np.mean(a ** 2)))
 
@@ -448,8 +447,9 @@ def rk4_ode_reference(coeffs, beta, lambda_, h, n):
 # The envelope, classification and period diagnostics with exact means: each
 # sum is taken in rational arithmetic and rounded once, then divided by the
 # item count; peak-to-peak values and crossings are computed in numpy.  The
-# library's standard-library versions must give the same labels, the same
-# period bits and the same envelopes.
+# library's standard-library classification and period must give the same
+# labels and the same period bits; the envelope, which the library does not
+# compute, serves the drift oracle.
 
 def exact_mean(x) -> float:
     """The exact sum of the floats X, rounded once, divided by len(X).

@@ -17,7 +17,6 @@ from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_pa
 from goodwin_delay.simulate import (
     HistorySpec,
     Trajectory,
-    amplitude_envelope,
     classify_dynamics,
     oscillation_period,
     simulate,
@@ -61,7 +60,7 @@ class TestIntegrator:
         _, coeffs, eq = case_a
         traj = simulate(coeffs, tau=0.05, history=perturbed_history(eq),
                         t_end=500.0)
-        centers, amp, _ = amplitude_envelope(traj, window=50.0)
+        _, amp, _ = np_amplitude_envelope(traj, window=50.0)
         assert amp[-1] > amp[0]
         assert classify_dynamics(traj) == "growing"
 
@@ -268,30 +267,22 @@ class TestDiagnostics:
         _, coeffs, eq = case_a
         hist = HistorySpec(beta=eq.beta_e, lambda_=eq.lambda_e)
         traj = simulate(coeffs, 0.03, hist, t_end=100.0)
-        _, amp_b, amp_l = amplitude_envelope(traj, window=10.0)
+        _, amp_b, amp_l = np_amplitude_envelope(traj, window=10.0)
         assert np.max(amp_b) < 1e-10
         assert np.max(amp_l) < 1e-10
 
     def test_envelope_monotone_decay_below_tau0(self, case_a):
         _, coeffs, eq = case_a
         traj = simulate(coeffs, 0.02, perturbed_history(eq), t_end=500.0)
-        _, amp, _ = amplitude_envelope(traj, window=25.0)
+        _, amp, _ = np_amplitude_envelope(traj, window=25.0)
         amp = amp[2:]  # skip the transient
         increases = np.sum(np.diff(amp) > 0)
         assert increases <= max(1, int(0.01 * len(amp)))
 
     def test_window_too_short(self, case_a):
-        _, coeffs, eq = case_a
-        traj = simulate(coeffs, 0.03, perturbed_history(eq), t_end=10.0)
-        with pytest.raises(WindowTooShort):
-            amplitude_envelope(traj, window=traj.step)
-        with pytest.raises(WindowTooShort):
-            amplitude_envelope(traj, window=50.0)
-        # a window longer than half the run leaves one window to compare
-        with pytest.raises(WindowTooShort, match="^too few windows after transient skip$"):
-            classify_dynamics(traj, window=6.0)
         # a run that overflows after one step is too short for the default
         # window, and the error says why the run is short
+        _, coeffs, _ = case_a
         traj = simulate(coeffs, 0.05, HistorySpec(beta=1e5, lambda_=0.0), t_end=100.0)
         with pytest.raises(WindowTooShort, match="^the state overflowed or turned"
                            r" non-finite: the run ends at t=0\.01, too early to classify$"):
@@ -310,13 +301,10 @@ class TestDiagnostics:
             oscillation_period(traj)
 
     def test_mean_overflow_is_typed(self):
-        # ten states of 1e308 and a step of 3e307: the fsum of a window of
-        # five times (3e308) and of the tail of beta overflow, which was a
-        # bare OverflowError
+        # ten states of 1e308: the fsum of the tail of beta overflows, which
+        # was a bare OverflowError
         big = array("d", [1e308]) * 10
         traj = Trajectory(beta=big, lambda_=big, step=3e307)
-        with pytest.raises(InvalidInput, match="overflows"):
-            amplitude_envelope(traj, window=1.5e308)
         with pytest.raises(InvalidInput, match="overflows"):
             oscillation_period(traj)
 
@@ -342,29 +330,33 @@ EXACT_MEAN_SIZES = [*range(5, 10), *range(127, 131), 8191, 8192, 8193, 100_003]
 EXACT_MEAN_STEP = 0.3
 
 
-def _decades(n):
-    """N floats with magnitudes over 16 decades, so that a sum that is not
-    exact changes the bits."""
-    rng = np.random.default_rng(n)
+def _decades(n, seed=None):
+    """N floats with magnitudes over 16 decades (drawn with SEED, by default
+    N), so that a sum that is not exact changes the bits."""
+    rng = np.random.default_rng(n if seed is None else seed)
     return (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
 
 
 @pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
 def test_envelope_centre_is_exact_mean(n):
-    # one window over all of the times k * h: its center is their mean
-    h, zeros = EXACT_MEAN_STEP, array("d", bytes(8 * n))
-    values = [k * h for k in range(n)]
+    # the reference mean is the rational sum rounded once; and the numpy
+    # envelope that the drift oracle fits over centres one window over all of
+    # the times k * h at their mean
+    values, h = _decades(n), EXACT_MEAN_STEP
     assert exact_mean(values) == float(sum(map(Fraction, values))) / n
+    times, zeros = [k * h for k in range(n)], array("d", bytes(8 * n))
     traj = Trajectory(beta=zeros, lambda_=zeros, step=h)
-    assert amplitude_envelope(traj, n * h)[0] == [exact_mean(values)]
+    want = float(sum(map(Fraction, times))) / n
+    assert np_amplitude_envelope(traj, n * h)[0].tolist() == [want]
 
 
 @pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
 def test_period_is_exact_mean(n):
-    # the values as beta at the times k * h: the tail mean sets the
-    # crossings, and the period is the mean of the gaps between alternate ones
+    # the values as beta at the times k * h of the second half of a run of 2n
+    # rows: the tail mean sets the crossings, and the period is the mean of
+    # the gaps between alternate ones
     values, h = _decades(n), EXACT_MEAN_STEP
-    v, t = array("d", values), [k * h for k in range(n)]
+    v, t = array("d", [0.0] * n + values), [(n + k) * h for k in range(n)]
     traj = Trajectory(beta=v, lambda_=v, step=h)
     mean = exact_mean(values)
     x = [b - mean for b in values]
@@ -372,32 +364,40 @@ def test_period_is_exact_mean(n):
                  for i in range(n - 1) if x[i] * x[i + 1] < 0]
     gaps = [c2 - c0 for c0, c2 in zip(crossings, crossings[2:])]
     if gaps:
-        assert repr(oscillation_period(traj, tail_fraction=1.0)) == repr(exact_mean(gaps))
+        assert repr(oscillation_period(traj)) == repr(exact_mean(gaps))
     else:
         with pytest.raises(NoOscillation):
-            oscillation_period(traj, tail_fraction=1.0)
+            oscillation_period(traj)
 
 
 @pytest.mark.parametrize("n", EXACT_MEAN_SIZES)
 def test_classification_turns_at_exact_mean(n):
-    # windows of 5 steps with peak-to-peak |value|, and the first again at
-    # the end: the log drifts close a loop, so their exact sum is only their
-    # rounding errors, and the label must turn where its mean meets the
-    # tolerance's threshold
-    amp = [abs(a) for a in _decades(n)]
-    amp.append(amp[0])
-    beta = array("d", [c for a in amp for c in (0.0, a, 0.0, 0.0, 0.0)])
-    traj = Trajectory(beta=beta, lambda_=beta, step=1.0)
-    mean = exact_mean([math.log((a1 + 1e-300) / (a0 + 1e-300))
-                        for a0, a1 in zip(amp, amp[1:])])
-    if mean > 0:  # 'growing' iff the mean exceeds log1p(tol)
-        label, threshold, top = "growing", math.log1p, math.inf
-    else:  # 'decaying' iff the mean falls below log1p(-tol)
-        label, threshold, top = "decaying", lambda tol: -math.log1p(-tol), 1.0
-    tol = _least_float(lambda tol: threshold(tol) >= abs(mean), 0.0, top)
-    assert threshold(tol) >= abs(mean) > threshold(math.nextafter(tol, 0.0))
-    assert classify_dynamics(traj, 5.0, math.nextafter(tol, 0.0), 0.0) == label
-    assert classify_dynamics(traj, 5.0, tol, 0.0) != label
+    # a run of 50 unit steps has 10 default windows of 5 steps, and the first
+    # 2 are skipped; windows 2..9 peak at 7 amplitudes over 16 decades (drawn
+    # with seed N) and a last one, x.  The drift mean rises with x, and each
+    # label must turn at the x where the exact mean of the log drifts meets
+    # log1p(+-0.02)
+    amp = [abs(a) for a in _decades(7, seed=n)]
+
+    def run(x):
+        peaks = [0.0, 0.0, *amp, x]
+        beta = array("d", [c for a in peaks for c in (0.0, a, 0.0, 0.0, 0.0)] + [0.0])
+        return classify_dynamics(Trajectory(beta=beta, lambda_=beta, step=1.0))
+
+    def mean(x):
+        peaks = [*amp, x]
+        return exact_mean([math.log((a1 + 1e-300) / (a0 + 1e-300))
+                           for a0, a1 in zip(peaks, peaks[1:])])
+
+    # the least x that reads 'growing', and the least that no longer reads 'decaying'
+    x = _least_float(lambda x: run(x) == "growing", 0.0, 1e300)
+    below = math.nextafter(x, 0.0)
+    assert (run(below), run(x)) == ("sustained", "growing")
+    assert mean(below) <= math.log1p(0.02) < mean(x)
+    x = _least_float(lambda x: run(x) != "decaying", 0.0, 1e300)
+    below = math.nextafter(x, 0.0)
+    assert (run(below), run(x)) == ("decaying", "sustained")
+    assert mean(below) < math.log1p(-0.02) <= mean(x)
 
 
 def _peak_bytes(fn, *args):
@@ -450,16 +450,13 @@ def test_oscillation_period_peak_memory_per_row(runs_of_two_lengths):
     assert periods[1] == pytest.approx(periods[0], rel=1e-3)
 
 
-@pytest.mark.parametrize("diagnostic", [
-    classify_dynamics, lambda traj: amplitude_envelope(traj, 50.0)],
-    ids=["classify_dynamics", "amplitude_envelope"])
+@pytest.mark.parametrize("diagnostic", [classify_dynamics], ids=["classify_dynamics"])
 def test_window_diagnostics_peak_memory_per_row(diagnostic, runs_of_two_lengths):
-    # each window is read in place, which a copy of it (a tenth of the run) would fail;
-    # so are the envelope's centres, which a list of each window's times would fail
+    # each window is read in place, which a copy of it (a tenth of the run) would fail
     for traj in runs_of_two_lengths:
         result, peak = _peak_bytes(diagnostic, traj)
         assert peak <= DIAGNOSTIC_PEAK_BYTES
-        assert result == "growing" or len(result[0]) == 10
+        assert result == "growing"
 
 
 def _columns(values):
@@ -472,15 +469,13 @@ DECAY = [math.exp(-0.01 * k) for k in range(1001)]
 
 
 @pytest.mark.parametrize("diagnostic, values, error", [
-    (lambda traj: amplitude_envelope(traj, 5.0), SINE, None),
-    (lambda traj: amplitude_envelope(traj, 500.0), SINE, WindowTooShort),
     (classify_dynamics, SINE, None),
-    # one window of 60 time units, so none to compare after the skip
-    (lambda traj: classify_dynamics(traj, window=60.0), SINE, WindowTooShort),
+    # 40 rows: the default window spans 4 steps
+    (classify_dynamics, SINE[:40], WindowTooShort),
     (oscillation_period, SINE, None),
     (oscillation_period, DECAY, NoOscillation),
     (oscillation_period, [1e308] * 10, InvalidInput),  # the tail's mean overflows
-], ids=["envelope", "envelope-WindowTooShort", "classify", "classify-WindowTooShort",
+], ids=["classify", "classify-WindowTooShort",
         "period", "period-NoOscillation", "period-InvalidInput"])
 def test_diagnostics_leave_the_columns_resizable(diagnostic, values, error):
     # a view of a column that outlives the call makes array('d') refuse to
@@ -514,7 +509,6 @@ def test_library_and_cli_never_read_the_times(case_a, tmp_path, monkeypatch, cap
                      "--init", init, "--out", str(tmp_path)]) == code
     out, err = capsys.readouterr()
     assert "classification: growing" in out and "ends at t=0.01," in err
-    assert len(amplitude_envelope(traj, 10.0)[0]) == 10
     assert classify_dynamics(traj) == "growing"
     assert oscillation_period(traj) > 0
 
@@ -542,10 +536,3 @@ def test_diagnostics_match_numpy_reference(coeff_case, run, request):
     assert _outcome(classify_dynamics, traj) == _outcome(np_classify_dynamics, traj)
     assert (_outcome(lambda: repr(oscillation_period(traj)))
             == _outcome(lambda: repr(np_oscillation_period(traj))))
-    for window in (1.0, 10.0):
-        got = _outcome(amplitude_envelope, traj, window)
-        want = _outcome(np_amplitude_envelope, traj, window)
-        if want == "raises":
-            assert got == "raises"
-        else:
-            assert [array("d", g).tobytes() for g in got] == [w.tobytes() for w in want]
