@@ -27,7 +27,9 @@ from .errors import ConfigError, ConstraintViolation, GoodwinDelayError, NoOscil
 from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coefficients,
                     validate_parameters)
 from .normal_form import hopf_analysis
-from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate
+# simulate is not called here: it stays a name of this module, which perfbench wraps
+from .simulate import (HistorySpec, classify_dynamics, oscillation_period, simulate,
+                       simulate_rows)
 from .spectral import (analyze_spectrum, check_delay, check_depth, critical_delays,
                        verdict_at)
 
@@ -166,13 +168,13 @@ def cmd_simulate(args) -> int:
     else:
         # repo convention: the reference figures never state their start
         b0, l0 = eq.beta_e - 0.05, eq.lambda_e - 0.05
-    # simulate() rejects bad inputs before anything is written
-    traj = simulate(coeffs, args.tau, HistorySpec(beta=b0, lambda_=l0),
-                    args.t_end, step_hint=args.step)
+    # simulate_rows() rejects bad inputs before anything is written
+    run = simulate_rows(coeffs, args.tau, HistorySpec(beta=b0, lambda_=l0),
+                        args.t_end, step_hint=args.step)
     out = _outdir(args)
-    rows = zip(map(traj.step.__rmul__, count()), traj.beta, traj.lambda_)  # t = k * step
-    _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"],
-               lambda fh: fh.writelines("%r,%r,%r\n" % r for r in rows))
+    # each block of rows is written as the integrator stores it; TRAJ keeps beta only
+    traj = _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"], lambda fh: run(
+        lambda rows: fh.writelines("%r,%r,%r\n" % r for r in rows)))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,

@@ -13,7 +13,10 @@ X holds beta at t = (k - m) h for k = 0..m+n, the first m+1 entries being
 the constant history on [-tau, 0]; M[k] is the Hermite midpoint of
 [X[k], X[k+1]].  Step i reads X[i], M[i], X[i+1] and stores M[m+i], read
 m steps later, so M is a ring of m slots.  X, the ring and L (lambda) are
-``array('d')`` buffers, X and L trimmed in place into the two columns.
+``array('d')`` buffers.  The kernel fills L a block of rows at a time: simulate()
+takes the run as one block and trims X and L in place into the two columns;
+simulate_rows() hands each block of BLOCK rows to its caller as it is stored,
+so that only beta is kept whole.
 
 The module needs only the standard library.  The classification and
 period diagnostics read the beta column in place through memoryviews they
@@ -35,8 +38,11 @@ from .spectral import check_delay
 
 OVERFLOW_LIMIT = 1e6
 # Cap on the grid slots m + n of one run: at 16 bytes per slot at the
-# peak (X and L, and the m-slot ring, of 8-byte doubles), near 80 MB.
+# peak (X and L, and the m-slot ring, of 8-byte doubles), near 80 MB for
+# simulate(); simulate_rows() holds X and the ring, 8 bytes a step's slot and
+# 16 a history slot, so near 40 MB unless the delay takes most of the slots.
 MAX_STEPS = 5_000_000
+BLOCK = 4096  # rows of lambda that simulate_rows() holds and hands over at a time
 # classify_dynamics' bound on the mean relative drift of the envelope per window
 DRIFT_TOL = 0.02
 
@@ -73,14 +79,9 @@ def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
     return m, tau / m if m else h_max
 
 
-def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
-             t_end: float, step_hint: float | None = None) -> Trajectory:
-    """Integrate the delayed subsystem from a constant history.
-
-    Returns a uniform-grid trajectory starting at t = 0.  If the state
-    magnitude exceeds 1e6 or turns non-finite, the run is truncated and
-    flagged, and it ends at its last finite row.
-    """
+def _grid(tau: float, history: HistorySpec, t_end: float,
+          step_hint: float | None) -> tuple[int, int, float]:
+    """Check a run's inputs; return its history slots m, its steps n and its step h."""
     check_delay(tau)
     if not (math.isfinite(t_end) and t_end > 0):
         raise InvalidInput(f"t_end must be finite and positive, got {t_end!r}")
@@ -95,14 +96,23 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     if m + span > MAX_STEPS:
         raise GridTooLarge(f"tau={tau} and t_end={t_end} with step {h} need"
                            f" {m} + {span:.3g} grid slots > MAX_STEPS={MAX_STEPS}")
-    n = math.ceil(span)
+    return m, math.ceil(span), h
 
+
+def _integrate(coeffs: SubsystemCoefficients, m: int, h: float, X: array, L: array):
+    """The RK4 kernel: steps the run whose history fills X[:m + 1] and L[0].
+
+    Row r of the run stores beta at X[m + r], over all m + n + 1 slots of X,
+    and lambda in L, a block of len(L) rows that each block overwrites.
+    After the rows s..s+k-1 of a block, their lambda at L[:k], it yields
+    (s, k, overflow).  The block in which the state overflows is the last,
+    and holds k = 0 rows when the row it drops, non-finite, was its first.
+    """
     _, b0, lam0, d0, gc, wd, rho1 = coeffs  # in SubsystemCoefficients' field order
     # lambda-equation coupling to beta(t) and to beta(t - tau)
     gl, r1 = (gc, rho1) if m else (gc + rho1, 0.0)
-    b, lam = history.beta, history.lambda_
-    X = array("d", (b,)) * (m + n + 1)
-    L = array("d", (lam,)) * (n + 1)
+    b, lam = X[0], L[0]
+    n, block = len(X) - m - 1, len(L)
     ring = array("d", (b,)) * (size := m or 1)  # M[m + i] in slot i % m
     db = (b0 + gc * b - d0 * lam) * b  # beta derivative: each step's k1, and its midpoint
 
@@ -112,32 +122,73 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     # m = 0 each M[i] is read before it is stored, so every read is the history
     nodes, mids = iter(X), chain.from_iterable(repeat(ring)) if m else repeat(b)
     rd1 = r1 * next(nodes)
-    for i in range(n):
-        rd0, rdm, rd1 = rd1, r1 * next(mids), r1 * next(nodes)
-        k1l = (lam0 - wd * lam + gl * b + rd0) * lam
-        b2, l2 = b + h2 * db, lam + h2 * k1l
-        k2b = (b0 + gc * b2 - d0 * l2) * b2
-        k2l = (lam0 - wd * l2 + gl * b2 + rdm) * l2
-        b3, l3 = b + h2 * k2b, lam + h2 * k2l
-        k3b = (b0 + gc * b3 - d0 * l3) * b3
-        k3l = (lam0 - wd * l3 + gl * b3 + rdm) * l3
-        b4, l4 = b + h * k3b, lam + h * k3l
-        k4b = (b0 + gc * b4 - d0 * l4) * b4
-        k4l = (lam0 - wd * l4 + gl * b4 + rd1) * l4
-        b_new = b + h6 * (db + 2.0 * (k2b + k3b) + k4b)
-        lam = lam + h6 * (k1l + 2.0 * (k2l + k3l) + k4l)
-        db_new = (b0 + gc * b_new - d0 * lam) * b_new
-        ring[i % size] = 0.5 * (b + b_new) + h8 * (db - db_new)
-        b, db = b_new, db_new
-        X[m + i + 1], L[i + 1] = b, lam
-        # written so that a NaN state fails it too
-        if not (abs(b) <= limit and abs(lam) <= limit):
-            overflow = True
-            last = i + 1 if math.isfinite(b) and math.isfinite(lam) else i
-            break
+    # a loop over the steps of each block, so that no step counts the block's rows
+    for s in range(0, n + 1, block):
+        off = s - 1  # step i stores row i + 1, its lambda at L[i - off]
+        for i in range(max(off, 0), min(s + block, n + 1) - 1):
+            rd0, rdm, rd1 = rd1, r1 * next(mids), r1 * next(nodes)
+            k1l = (lam0 - wd * lam + gl * b + rd0) * lam
+            b2, l2 = b + h2 * db, lam + h2 * k1l
+            k2b = (b0 + gc * b2 - d0 * l2) * b2
+            k2l = (lam0 - wd * l2 + gl * b2 + rdm) * l2
+            b3, l3 = b + h2 * k2b, lam + h2 * k2l
+            k3b = (b0 + gc * b3 - d0 * l3) * b3
+            k3l = (lam0 - wd * l3 + gl * b3 + rdm) * l3
+            b4, l4 = b + h * k3b, lam + h * k3l
+            k4b = (b0 + gc * b4 - d0 * l4) * b4
+            k4l = (lam0 - wd * l4 + gl * b4 + rd1) * l4
+            b_new = b + h6 * (db + 2.0 * (k2b + k3b) + k4b)
+            lam = lam + h6 * (k1l + 2.0 * (k2l + k3l) + k4l)
+            db_new = (b0 + gc * b_new - d0 * lam) * b_new
+            ring[i % size] = 0.5 * (b + b_new) + h8 * (db - db_new)
+            b, db = b_new, db_new
+            X[m + i + 1], L[i - off] = b, lam
+            # written so that a NaN state fails it too
+            if not (abs(b) <= limit and abs(lam) <= limit):
+                overflow = True
+                last = i + 1 if math.isfinite(b) and math.isfinite(lam) else i
+                break
+        yield s, min(last + 1, s + block) - s, overflow
+        if overflow:
+            return
 
-    del X[m + last + 1:], X[:m], L[last + 1:]  # X and L become the columns in place
+
+def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
+             t_end: float, step_hint: float | None = None) -> Trajectory:
+    """Integrate the delayed subsystem from a constant history.
+
+    Returns a uniform-grid trajectory starting at t = 0.  If the state
+    magnitude exceeds 1e6 or turns non-finite, the run is truncated and
+    flagged, and it ends at its last finite row.
+    """
+    m, n, h = _grid(tau, history, t_end, step_hint)
+    X = array("d", (history.beta,)) * (m + n + 1)
+    L = array("d", (history.lambda_,)) * (n + 1)
+    [(_, rows, overflow)] = _integrate(coeffs, m, h, X, L)  # the run is one block
+    del X[m + rows:], X[:m], L[rows:]  # X and L become the columns in place
     return Trajectory(beta=X, lambda_=L, step=h, overflow=overflow)
+
+
+def simulate_rows(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
+                  t_end: float, step_hint: float | None = None):
+    """simulate(), for a caller that takes the rows as they come.
+
+    Checks the inputs now, as simulate() does, and returns run(emit).  That
+    integrates the run holding lambda BLOCK rows at a time, passes emit the
+    (t, beta, lambda) rows of each block, t = k * step, and returns the
+    Trajectory of the beta column, with an empty lambda_.
+    """
+    m, n, h = _grid(tau, history, t_end, step_hint)
+
+    def run(emit) -> Trajectory:
+        X = array("d", (history.beta,)) * (m + n + 1)
+        L = array("d", (history.lambda_,)) * min(BLOCK, n + 1)
+        for s, rows, overflow in _integrate(coeffs, m, h, X, L):
+            # zip stops at the times, so a last block that is not full reads only its rows
+            emit(zip(map(h.__rmul__, range(s, s + rows)), X[m + s:m + s + rows], L))
+        del X[m + s + rows:], X[:m]
+        return Trajectory(beta=X, lambda_=array("d"), step=h, overflow=overflow)
+    return run
 
 
 def _mean(x) -> float:
@@ -158,6 +209,8 @@ def classify_dynamics(traj: Trajectory) -> str:
     end = (len(traj.beta) - 1) * traj.step
     steps = int(round(end / 10.0 / traj.step))
     if steps < 5:
+        if len(traj.beta) == 0:
+            raise WindowTooShort("the trajectory has no rows to classify")
         if traj.overflow:
             raise WindowTooShort("the state overflowed or turned non-finite: the run ends"
                                  f" at t={end!r}, too early to classify")
@@ -180,6 +233,8 @@ def classify_dynamics(traj: Trajectory) -> str:
 
 def oscillation_period(traj: Trajectory) -> float:
     """Mean spacing of alternate mean-crossings of beta in the second half of the run."""
+    if len(traj.beta) == 0:
+        raise NoOscillation("the trajectory has no rows, so no mean-crossings")
     start = len(traj.beta) // 2
     h, crossings = traj.step, []
     with memoryview(traj.beta) as column, column[start:] as tail:

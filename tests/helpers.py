@@ -475,23 +475,24 @@ def np_amplitude_envelope(traj, window):
     return centers, np.ptp(beta, axis=1), np.ptp(lambda_, axis=1)
 
 
-def np_classify_dynamics(traj, drift_tol=0.02, skip_fraction=0.2):
-    """'decaying', 'sustained' or 'growing' from the geometric-mean window drift."""
+def np_classify_dynamics(traj):
+    """'decaying', 'sustained' or 'growing' from the geometric-mean window drift:
+    windows of a tenth of the run, the first fifth skipped, against 2%."""
     _, amp, _ = np_amplitude_envelope(traj, float(traj.times[-1] - traj.times[0]) / 10.0)
-    amp = amp[int(len(amp) * skip_fraction):]
+    amp = amp[len(amp) // 5:]
     if len(amp) < 2:
         raise ValueError("too few windows after the transient skip")
     mean = exact_mean(np.log((amp[1:] + 1e-300) / (amp[:-1] + 1e-300)).tolist())
-    if mean > math.log1p(drift_tol):
+    if mean > math.log1p(0.02):
         return "growing"
-    if mean < math.log1p(-drift_tol):
+    if mean < math.log1p(-0.02):
         return "decaying"
     return "sustained"
 
 
 def np_oscillation_period(traj, tail_fraction=0.5):
     """Mean spacing of alternate mean-crossings of beta in the tail."""
-    start = int(len(traj.times) * (1.0 - tail_fraction))
+    start = int(len(traj.beta) * (1.0 - tail_fraction))
     t = np.asarray(traj.times)[start:]
     beta = np.asarray(traj.beta)[start:]
     x = beta - exact_mean(beta.tolist())

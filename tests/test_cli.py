@@ -330,6 +330,80 @@ class TestSimulate:
         assert outs[0] == outs[1]
 
 
+BLOCK = simulate_module.BLOCK
+
+
+def _library_csv(coeffs, tau, init, t_end, step):
+    """The library run and its trajectory.csv bytes, each row "%r,%r,%r\\n"."""
+    traj = simulate_module.simulate(coeffs, tau, simulate_module.HistorySpec(*init), t_end,
+                                    step_hint=step)
+    rows = zip(traj.times, traj.beta, traj.lambda_)
+    return traj, ("t,beta,lambda\n" + "".join("%r,%r,%r\n" % r for r in rows)).encode()
+
+
+def _command_csv(raw, tau, init, t_end, step, out):
+    config = out / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["simulate", "--config", str(config), "--tau", repr(tau), "--t-end",
+                 repr(t_end), "--step", repr(step), "--init", "%r,%r" % init,
+                 "--out", str(out)]) == 0
+    return (out / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("tau, step", [(0.0, 0.125), (0.03, 0.0075)])  # m = 0, and m = 4
+def test_trajectory_csv_is_the_library_run_across_blocks(rows, tau, step, tmp_path, capsys):
+    # the command writes each block of rows as the integrator stores it
+    coeffs = subsystem_coefficients(validate_parameters(dict(CASE_A)), "A")
+    init = (0.9, 0.7)
+    traj, want = _library_csv(coeffs, tau, init, (rows - 1) * step, step)
+    assert len(traj.beta) == rows and not traj.overflow
+    assert _command_csv(CASE_A, tau, init, (rows - 1) * step, step, tmp_path) == want
+
+
+@pytest.mark.parametrize("changes, step, rows, finite", [
+    # the row past 1e6 is kept: the last row of the first block, and the first of the second
+    ({}, 0.000289127, BLOCK, True),
+    ({}, 0.000289056, BLOCK + 1, True),
+    # rho1 near 1e303 turns lambda NaN (0 * inf) once beta passes about 1.8e5, and
+    # that row is dropped: the second block is empty, then holds one row
+    ({"a2": 1e303}, 0.000288959, BLOCK, False),
+    ({"a2": 1e303}, 0.000288889, BLOCK + 1, False),
+], ids=["last-row", "first-row", "non-finite-empty-block", "non-finite-first-row"])
+def test_trajectory_csv_of_an_overflow_at_a_block_edge(changes, step, rows, finite,
+                                                       tmp_path, capsys):
+    # beta from 50 with lambda = 0 blows up near t = 1.18; each step was found
+    # by a scan so that the run ends at the row named, for BLOCK = 4096
+    raw = {**CASE_A, **changes}
+    coeffs = subsystem_coefficients(validate_parameters(raw), "A")
+    init = (50.0, 0.0)
+    traj, want = _library_csv(coeffs, 0.0, init, 10.0, step)
+    assert traj.overflow and len(traj.beta) == rows
+    assert (abs(traj.beta[-1]) > 1e6) == finite  # a finite overflow row is kept
+    assert _command_csv(raw, 0.0, init, 10.0, step, tmp_path) == want
+
+
+def test_simulate_command_memory_per_row(config_a, tmp_path, capsys):
+    # the command keeps beta, 8 B a row, and lambda a block at a time: a
+    # command that kept both columns would grow 16 B a row
+    def peak(step):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config_a, "--tau", "0.05", "--t-end",
+                         "500", "--step", step, "--out", str(tmp_path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # an untraced run first makes the allocations done once, which the
+    # small run's peak would count and the large one's not
+    assert main(["simulate", "--config", config_a, "--tau", "0.05", "--t-end", "500",
+                 "--out", str(tmp_path)]) == 0
+    small = peak("0.01")
+    assert peak("0.001") - small <= 9 * (500_001 - 50_001)  # measured 8.4 B a row
+
+
+
 class TestSweep:
     def test_tau_sweep_verdict_flip(self, config_a, tmp_path):
         out = tmp_path / "sw"

@@ -359,23 +359,27 @@ class TestLyapunov:
     def test_c1_vanishes_at_the_undelayed_edge(self):
         # At tau = 0 the subsystem is planar Lotka-Volterra, which has no
         # isolated periodic orbit (Coppel, J. Differential Equations 2, 1966),
-        # so the Hopf degenerates as p0 -> 0+ and tau0 -> 0.  Walked along case
-        # A's nu2, c1 in original time, Re c1(0)/tau0, falls in proportion to
-        # tau0: Re c1(0)/tau0^2 settles (measured 6.97e-3, 5.99e-3, 5.93e-3)
-        taus, c1s = [], []
-        for nu2 in (0.02, 0.015, 0.0147):
-            p = validate_parameters({**CASE_A, "nu2": nu2})
-            coeffs = subsystem_coefficients(p, "A")
-            eq = equilibrium(coeffs, p)
-            rep = analyze_spectrum(eq, coeffs)
-            assert 0 < rep.coefficients.p0 and rep.stable_at_zero
-            taus.append(rep.tau0)
-            c1s.append(hopf_analysis(eq, coeffs, rep).c1_0.real / rep.tau0)
-        assert taus[0] > 10 * taus[1] > 40 * taus[2] > 0
-        assert c1s[0] > 10 * c1s[1] > 40 * c1s[2] > 0
-        q = [c / t for c, t in zip(c1s, taus)]
-        assert q[0] > q[1] > q[2] > 0
-        assert abs(q[1] / q[0] - 1) < 0.2 and abs(q[2] / q[1] - 1) < 0.02
+        # so the Hopf degenerates as p0 -> 0+ and tau0 -> 0.  Walked along two
+        # of case A's fields, c1 in original time, Re c1(0)/tau0, falls in
+        # proportion to tau0: Re c1(0)/tau0^2 settles, from above along nu2
+        # (measured 6.97e-3, 5.99e-3, 5.93e-3) and from below along gamma2
+        # (1.387e-2, 1.601e-2, 1.614e-2; p0 = 0 near gamma2 = 0.032838)
+        for field, values, trend in (("nu2", (0.02, 0.015, 0.0147), -1),
+                                     ("gamma2", (0.024, 0.0322, 0.0327), 1)):
+            taus, c1s = [], []
+            for value in values:
+                p = validate_parameters({**CASE_A, field: value})
+                coeffs = subsystem_coefficients(p, "A")
+                eq = equilibrium(coeffs, p)
+                rep = analyze_spectrum(eq, coeffs)
+                assert 0 < rep.coefficients.p0 and rep.stable_at_zero
+                taus.append(rep.tau0)
+                c1s.append(hopf_analysis(eq, coeffs, rep).c1_0.real / rep.tau0)
+            assert taus[0] > 10 * taus[1] > 40 * taus[2] > 0
+            assert c1s[0] > 10 * c1s[1] > 40 * c1s[2] > 0
+            q = [c / t for c, t in zip(c1s, taus)]
+            assert trend * q[0] < trend * q[1] < trend * q[2] and min(q) > 0
+            assert abs(q[1] / q[0] - 1) < 0.2 and abs(q[2] / q[1] - 1) < 0.02
 
     def test_case_b_extrapolated_flag(self, case_b, analysis_json):
         # variant B is checked against both oracles like A, so its report

@@ -300,6 +300,15 @@ class TestDiagnostics:
         with pytest.raises(NoOscillation):
             oscillation_period(traj)
 
+    def test_empty_trajectory_is_typed(self):
+        # were "a run of -1 steps" and a bare ZeroDivisionError
+        empty = Trajectory(array("d"), array("d"), 0.01)
+        with pytest.raises(WindowTooShort, match="^the trajectory has no rows to classify$"):
+            classify_dynamics(empty)
+        with pytest.raises(NoOscillation,
+                           match="^the trajectory has no rows, so no mean-crossings$"):
+            oscillation_period(empty)
+
     def test_mean_overflow_is_typed(self):
         # ten states of 1e308: the fsum of the tail of beta overflows, which
         # was a bare OverflowError
