@@ -403,7 +403,6 @@ def test_simulate_command_memory_per_row(config_a, tmp_path, capsys):
     assert peak("0.001") - small <= 9 * (500_001 - 50_001)  # measured 8.4 B a row
 
 
-
 class TestSweep:
     def test_tau_sweep_verdict_flip(self, config_a, tmp_path):
         out = tmp_path / "sw"
