@@ -57,11 +57,11 @@ def _write_json(path: Path, doc: dict) -> None:
                     encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], write):
-    """Write the header line to PATH, then what WRITE(fh) writes; return its result."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        return write(fh)
+def _open_csv(path: Path, header: list[str]):
+    """PATH opened for writing, its header line written."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh.write(",".join(header) + "\n")
+    return fh
 
 
 def _load_params(args):
@@ -173,8 +173,8 @@ def cmd_simulate(args) -> int:
                         args.t_end, step_hint=args.step)
     out = _outdir(args)
     # each block of rows is written as the integrator stores it; TRAJ keeps beta only
-    traj = _write_csv(out / "trajectory.csv", ["t", "beta", "lambda"], lambda fh: run(
-        lambda rows: fh.writelines("%r,%r,%r\n" % r for r in rows)))
+    with _open_csv(out / "trajectory.csv", ["t", "beta", "lambda"]) as fh:
+        traj = run(lambda rows: fh.writelines("%r,%r,%r\n" % r for r in rows))
     sidecar = {
         "engine_version": __version__,
         "variant": args.variant,
@@ -349,8 +349,8 @@ def cmd_sweep(args) -> int:
         return next(tally)
 
     header = [args.param, *SWEEP_COLUMNS, *(HOPF_COLUMNS if args.with_hopf else []), "error"]
-    outside = _write_csv(out / "sweep.csv", header, lambda fh: _write_chunks(
-        fh, out, args.count, _workers(args), write_chunk))
+    with _open_csv(out / "sweep.csv", header) as fh:
+        outside = _write_chunks(fh, out, args.count, _workers(args), write_chunk)
     print(f"wrote {args.count} rows to {out / 'sweep.csv'}")
     if outside:
         print(f"{outside} rows have an equilibrium outside (0,1)^2", file=sys.stderr)
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except GoodwinDelayError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (OSError, ValueError) as exc:  # an unreadable config or a malformed --init
+    except (OSError, ValueError) as exc:  # an unreadable or unparsable config, unwritable --out
         print(f"{ConfigError.kind} error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
 

@@ -68,20 +68,10 @@ class Trajectory(NamedTuple):
         return array("d", map(self.step.__rmul__, range(len(self.beta))))
 
 
-def _resolve_step(tau: float, step_hint: float | None) -> tuple[int, float]:
-    """The fewest steps m >= 1 a delay with h = tau/m <= h_max, and h; (0, h_max) at tau = 0."""
-    h_max = step_hint or 0.01
-    nodes = tau / h_max - 1e-12
-    if nodes > MAX_STEPS:  # checked before the ceiling, which an infinite quotient has not
-        raise GridTooLarge(f"tau={tau} with steps of at most {h_max} needs {nodes:.3g}"
-                           f" history slots > MAX_STEPS={MAX_STEPS}")
-    m = max(1, math.ceil(nodes)) if tau else 0
-    return m, tau / m if m else h_max
-
-
 def _grid(tau: float, history: HistorySpec, t_end: float,
-          step_hint: float | None) -> tuple[int, int, float]:
-    """Check a run's inputs; return its history slots m, its steps n and its step h."""
+          step_hint: float | None) -> tuple[int, float, array]:
+    """Check a run's inputs; return its history slots m, its step h and X, the
+    m + n + 1 slots of beta for its n steps, each holding the history beta."""
     check_delay(tau)
     if not (math.isfinite(t_end) and t_end > 0):
         raise InvalidInput(f"t_end must be finite and positive, got {t_end!r}")
@@ -91,12 +81,18 @@ def _grid(tau: float, history: HistorySpec, t_end: float,
                         ("history lambda", history.lambda_)):
         if not math.isfinite(value):
             raise InvalidInput(f"{name} must be finite, got {value!r}")
-    m, h = _resolve_step(tau, step_hint)
+    h_max = step_hint or 0.01
+    nodes = tau / h_max - 1e-12
+    if nodes > MAX_STEPS:  # checked before the ceiling, which an infinite quotient has not
+        raise GridTooLarge(f"tau={tau} with steps of at most {h_max} needs {nodes:.3g}"
+                           f" history slots > MAX_STEPS={MAX_STEPS}")
+    m = max(1, math.ceil(nodes)) if tau else 0  # the fewest steps a delay of h = tau/m <= h_max
+    h = tau / m if m else h_max
     span = t_end / h - 1e-9 if h > 0 else math.inf
     if m + span > MAX_STEPS:
         raise GridTooLarge(f"tau={tau} and t_end={t_end} with step {h} need"
                            f" {m} + {span:.3g} grid slots > MAX_STEPS={MAX_STEPS}")
-    return m, math.ceil(span), h
+    return m, h, array("d", (history.beta,)) * (m + math.ceil(span) + 1)
 
 
 def _integrate(coeffs: SubsystemCoefficients, m: int, h: float, X: array, L: array):
@@ -161,9 +157,8 @@ def simulate(coeffs: SubsystemCoefficients, tau: float, history: HistorySpec,
     magnitude exceeds 1e6 or turns non-finite, the run is truncated and
     flagged, and it ends at its last finite row.
     """
-    m, n, h = _grid(tau, history, t_end, step_hint)
-    X = array("d", (history.beta,)) * (m + n + 1)
-    L = array("d", (history.lambda_,)) * (n + 1)
+    m, h, X = _grid(tau, history, t_end, step_hint)
+    L = array("d", (history.lambda_,)) * (len(X) - m)  # n + 1 rows
     [(_, rows, overflow)] = _integrate(coeffs, m, h, X, L)  # the run is one block
     del X[m + rows:], X[:m], L[rows:]  # X and L become the columns in place
     return Trajectory(beta=X, lambda_=L, step=h, overflow=overflow)
@@ -173,16 +168,15 @@ def simulate_rows(coeffs: SubsystemCoefficients, tau: float, history: HistorySpe
                   t_end: float, step_hint: float | None = None):
     """simulate(), for a caller that takes the rows as they come.
 
-    Checks the inputs now, as simulate() does, and returns run(emit).  That
-    integrates the run holding lambda BLOCK rows at a time, passes emit the
-    (t, beta, lambda) rows of each block, t = k * step, and returns the
-    Trajectory of the beta column, with an empty lambda_.
+    Checks the inputs and lays out beta now, as simulate() does, and returns
+    run(emit), called once.  That integrates the run holding lambda BLOCK rows
+    at a time, passes emit the (t, beta, lambda) rows of each block, t = k * step,
+    and returns the Trajectory of the beta column, with an empty lambda_.
     """
-    m, n, h = _grid(tau, history, t_end, step_hint)
+    m, h, X = _grid(tau, history, t_end, step_hint)
 
     def run(emit) -> Trajectory:
-        X = array("d", (history.beta,)) * (m + n + 1)
-        L = array("d", (history.lambda_,)) * min(BLOCK, n + 1)
+        L = array("d", (history.lambda_,)) * min(BLOCK, len(X) - m)
         for s, rows, overflow in _integrate(coeffs, m, h, X, L):
             # zip stops at the times, so a last block that is not full reads only its rows
             emit(zip(map(h.__rmul__, range(s, s + rows)), X[m + s:m + s + rows], L))

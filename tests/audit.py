@@ -12,15 +12,18 @@ It adds EDGE_DRAWS case-A sets just inside the edge r0 = q0 (helpers.sample_edge
 For each set with a crossing it compares every first rung with the 200-bit
 phase of mp_first_rungs, h'(z0) with the 200-bit +-sqrt(disc) of mp_h_prime (worst
 on H4 and on H6 sets apart) and c1(0) with the Hassard reduction of hassard_c1.
-Where the set is stable at zero and tau0 <= 1e3, it also checks the verdicts
-at tau0*(1 -+ 1e-3) against the argument-principle root count.  No verdict is
-checked beyond that delay: rhp_root_count samples its axis at 2*R*tau points,
-and with fewer it counted no root at 1.001*tau0 on sets with tau0 from 90 to
-2e7, where the ladder puts a pair.
+Where tau0 <= 1e3, it also checks the verdicts at tau0*(1 -+ 1e-3) against the
+argument-principle root count, reading unstable_at_zero as unstable.  On a set
+unstable at zero it checks the verdict at the midpoint of the first two switches
+(the rungs 0 and 1 of every crossing frequency, sorted) too, where that midpoint
+is <= 1e3, and counts these mismatches apart.  No other verdict is checked:
+rhp_root_count samples its axis at 2*R*tau points, and with fewer it counted no
+root at 1.001*tau0 on sets with tau0 from 90 to 2e7, where the ladder puts a pair.
 
-It prints the worst relative errors, the verdict mismatches and a histogram of
-(h case, interior, direction), where the direction is "-" without a crossing
-and an error's class name where the analysis raises.
+It prints the worst relative errors, the verdict mismatches of the sets stable
+and unstable at zero and a histogram of (h case, interior, direction), where the
+direction is "-" without a crossing and an error's class name where the analysis
+raises.
 """
 
 import collections
@@ -31,7 +34,7 @@ import numpy as np
 
 from goodwin_delay.errors import GoodwinDelayError
 from goodwin_delay.normal_form import hopf_analysis
-from goodwin_delay.spectral import analyze_spectrum, verdict_at
+from goodwin_delay.spectral import analyze_spectrum, critical_delays, verdict_at
 
 from helpers import (CASE_A, CASE_B, build_set, consistent_mu1, hassard_c1, mp_first_rungs,
                      mp_h_prime, rhp_root_count, sample_edge_set)
@@ -73,13 +76,26 @@ def audit(coeffs, eq, stats):
     stats[slope] = max(stats[slope], abs(rep.h_prime_z0 - ref) / abs(ref))
     ref = hassard_c1(eq, coeffs, rep.omega0, rep.tau0)
     stats["c1"] = max(stats["c1"], abs(hopf.c1_0 - ref) / abs(ref))
-    if rep.stable_at_zero and rep.tau0 <= VERDICT_TAU0_MAX:
-        for f in (1.0 - 1e-3, 1.0 + 1e-3):
-            tau = rep.tau0 * f
-            oracle = "stable" if rhp_root_count(*rep.coefficients, tau) == 0 else "unstable"
-            stats["verdicts"] += 1
-            stats["mismatches"] += verdict_at(rep, tau).kind != oracle
+    if rep.tau0 <= VERDICT_TAU0_MAX:
+        check_verdicts(rep, stats)
     return rep.h_case.tag, eq.interior, hopf.direction
+
+
+def check_verdicts(rep, stats):
+    """Compare verdict_at with the root count into STATS: "mismatches" on a set
+    stable at zero, "unstable mismatches" on one unstable at zero."""
+    taus = [rep.tau0 * (1.0 - 1e-3), rep.tau0 * (1.0 + 1e-3)]
+    verdicts, mismatches = "verdicts", "mismatches"
+    if not rep.stable_at_zero:
+        verdicts, mismatches = "unstable verdicts", "unstable mismatches"
+        switches = sorted(t for w in rep.omegas for t in critical_delays(rep.coefficients, w, 1))
+        if (mid := (switches[0] + switches[1]) / 2.0) <= VERDICT_TAU0_MAX:
+            taus.append(mid)
+    for tau in taus:
+        oracle = "stable" if rhp_root_count(*rep.coefficients, tau) == 0 else "unstable"
+        kind = verdict_at(rep, tau).kind
+        stats[verdicts] += 1
+        stats[mismatches] += ("unstable" if kind == "unstable_at_zero" else kind) != oracle
 
 
 def main():
@@ -90,10 +106,12 @@ def main():
                "edge": (EDGE_DRAWS, lambda: sample_edge_set(rng)[:3])}
     regimes = collections.Counter()
     print(f"{'sample':<6} {'valid':>6} {'crossing':>8} {'worst rung':>11}     h' H4     h' H6 "
-          f"{'worst c1':>9} {'verdict mismatches (tau0 <= 1e3)':>33}")
+          f"{'worst c1':>9} {'verdict mismatches (tau0 <= 1e3)':>33}"
+          f" {'unstable at zero':>18}")
     for name, (count, draw) in samples.items():
         stats = {"valid": 0, "crossing": 0, "rung": 0.0, "slope H4": 0.0, "slope H6": 0.0,
-                 "c1": 0.0, "verdicts": 0, "mismatches": 0}
+                 "c1": 0.0, "verdicts": 0, "mismatches": 0, "unstable verdicts": 0,
+                 "unstable mismatches": 0}
         for _ in range(count):
             drawn = draw()
             if drawn is not None:
@@ -101,7 +119,8 @@ def main():
                 regimes[(name, *audit(*drawn[1:], stats))] += 1
         print(f"{name:<6} {stats['valid']:>6} {stats['crossing']:>8} {stats['rung']:>11.2e} "
               f"{stats['slope H4']:>9.2e} {stats['slope H6']:>9.2e} {stats['c1']:>9.2e} "
-              f"{stats['mismatches']:>24} of {stats['verdicts']:<6}")
+              f"{stats['mismatches']:>24} of {stats['verdicts']:<6}"
+              f" {stats['unstable mismatches']:>8} of {stats['unstable verdicts']:<6}")
     print(f"\n{'sample':<6} {'h case':<6} {'interior':<8} {'direction':<22} {'sets':>6}")
     for (name, tag, interior, direction), n in sorted(regimes.items(), key=str):
         print(f"{name:<6} {tag:<6} {str(interior):<8} {direction:<22} {n:>6}")

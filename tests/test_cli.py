@@ -386,21 +386,22 @@ def test_trajectory_csv_of_an_overflow_at_a_block_edge(changes, step, rows, fini
 def test_simulate_command_memory_per_row(config_a, tmp_path, capsys):
     # the command keeps beta, 8 B a row, and lambda a block at a time: a
     # command that kept both columns would grow 16 B a row
-    def peak(step):
+    def peak(t_end):
         tracemalloc.start()
         try:
             assert main(["simulate", "--config", config_a, "--tau", "0.05", "--t-end",
-                         "500", "--step", step, "--out", str(tmp_path)]) == 0
+                         t_end, "--out", str(tmp_path)]) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     # an untraced run first makes the allocations done once, which the
     # small run's peak would count and the large one's not
-    assert main(["simulate", "--config", config_a, "--tau", "0.05", "--t-end", "500",
+    assert main(["simulate", "--config", config_a, "--tau", "0.05", "--t-end", "50",
                  "--out", str(tmp_path)]) == 0
-    small = peak("0.01")
-    assert peak("0.001") - small <= 9 * (500_001 - 50_001)  # measured 8.4 B a row
+    small = peak("50")
+    # measured 8.1 B a row; 24 B with lambda held whole (one block spanning the run)
+    assert peak("500") - small <= 9 * (50_001 - 5_001)
 
 
 class TestSweep:

@@ -359,13 +359,17 @@ class TestLyapunov:
     def test_c1_vanishes_at_the_undelayed_edge(self):
         # At tau = 0 the subsystem is planar Lotka-Volterra, which has no
         # isolated periodic orbit (Coppel, J. Differential Equations 2, 1966),
-        # so the Hopf degenerates as p0 -> 0+ and tau0 -> 0.  Walked along two
+        # so the Hopf degenerates as p0 -> 0+ and tau0 -> 0.  Walked along three
         # of case A's fields, c1 in original time, Re c1(0)/tau0, falls in
         # proportion to tau0: Re c1(0)/tau0^2 settles, from above along nu2
-        # (measured 6.97e-3, 5.99e-3, 5.93e-3) and from below along gamma2
-        # (1.387e-2, 1.601e-2, 1.614e-2; p0 = 0 near gamma2 = 0.032838)
+        # (measured 6.97e-3, 5.99e-3, 5.93e-3), from below along gamma2
+        # (1.387e-2, 1.601e-2, 1.614e-2; p0 = 0 near gamma2 = 0.032838) and
+        # from above along c (6.414e-3, 5.950e-3, 5.917e-3; p0 = 0 near
+        # c = 0.267369).  c and s_pi reach p0 only through g = c - (s_pi - s_w),
+        # so the walk along c covers s_pi too.
         for field, values, trend in (("nu2", (0.02, 0.015, 0.0147), -1),
-                                     ("gamma2", (0.024, 0.0322, 0.0327), 1)):
+                                     ("gamma2", (0.024, 0.0322, 0.0327), 1),
+                                     ("c", (0.272, 0.2677, 0.26742), -1)):
             taus, c1s = [], []
             for value in values:
                 p = validate_parameters({**CASE_A, field: value})
