@@ -6,9 +6,10 @@ failure, 3 simulation failure; each error class carries its own
 with shortest round-trip float formatting, so identical configs produce
 byte-identical outputs.  A sweep over a model parameter splits its rows
 across the CPUs this process may run on, in forked children, and its
-sweep.csv, stdout and stderr are the same bytes for any CPU count; a tracer
-that wraps the library's functions in this process sees the calls of the
-first chunk of rows only.
+sweep.csv, stdout, stderr and failures are the same for any CPU count; a
+tracer that wraps the library's functions in this process sees the calls of
+the first chunk of rows and of any chunk it writes again for a child that
+sent no count.
 """
 
 from __future__ import annotations
@@ -233,38 +234,15 @@ def _workers(args) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), args.count // ROWS_PER_WORKER))
 
 
-def _copy(fd: int, write) -> None:
-    """Pass what is left to read of FD to WRITE, COPY_BUFFER bytes at a time."""
-    while block := os.read(fd, COPY_BUFFER):
-        write(block)
-
-
-def _child(write_chunk, lo: int, hi: int, rows_fd: int, reply_fd: int):
-    """In a forked child: write rows lo..hi-1 to ROWS_FD and reply on REPLY_FD
-    with write_chunk's count, or with '!' and the message of an error that
-    main reports as a config error.  Exits 0 once it has replied, else 1."""
-    code = 1
-    try:
-        try:
-            with open(rows_fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
-                reply = b"%d" % write_chunk(fh, lo, hi)
-        except (OSError, ValueError) as exc:
-            reply = b"!" + str(exc).encode()
-        with open(reply_fd, "wb") as pipe:
-            pipe.write(reply)
-        code = 0
-    except Exception:  # a fault: show it; the parent reports a chunk without a reply
-        sys.excepthook(*sys.exc_info())
-    finally:
-        os._exit(code)
-
-
 def _write_chunks(fh, out: Path, rows: int, workers: int, write_chunk) -> int:
     """Write rows 0..ROWS-1 to FH in WORKERS contiguous chunks; return the sum
     of write_chunk(fh, lo, hi) over them.  This process writes chunk 0 to FH; a
-    forked child writes each later one to an unnamed file in OUT, copied to FH
-    after the child exits, in row order, so the first failure in row order is
-    the one raised, as in one process.  Every child is reaped on every path."""
+    forked child writes each later one to an unnamed file in OUT and then sends
+    its count alone, or exits with none if anything fails.  In row order, a
+    chunk with a count is copied to FH and one without is written again by this
+    process, so that only this process fails, at the row and with the error of
+    one process.  A tracer sees chunk 0 and any chunk written again.  Every
+    child is reaped on every path."""
     bounds = [rows * k // workers for k in range(workers + 1)]
     children = []  # (pid, lo, hi, reply pipe, rows file), in row order, not yet reaped
     fds = []       # the descriptors this process must close
@@ -277,28 +255,30 @@ def _write_chunks(fh, out: Path, rows: int, workers: int, write_chunk) -> int:
             fds.append(reply_r)
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _child(write_chunk, lo, hi, rows_fd, reply_w)
+                if pid == 0:  # the child: never returns into this process's frames
+                    try:
+                        with open(rows_fd, "w", encoding="utf-8", newline="\n") as rows_fh:
+                            n = write_chunk(rows_fh, lo, hi)
+                        os.write(reply_w, b"%d" % n)  # at most 20 bytes: one atomic write
+                    finally:
+                        os._exit(0)
             finally:
                 os.close(reply_w)  # so the pipe ends when the child does
             children.append((pid, lo, hi, reply_r, rows_fd))
         total = write_chunk(fh, 0, bounds[1])
-        fh.flush()  # the children's rows go straight to the binary buffer
         while children:
             pid, lo, hi, reply_r, rows_fd = children[0]
-            reply = bytearray()
-            _copy(reply_r, reply.extend)  # to the end of the pipe: the child has exited
-            status = os.waitpid(pid, 0)[1]
+            reply = os.read(reply_r, 20)  # the count, or b"" once the child is gone
+            os.waitpid(pid, 0)
             del children[0]
-            if not reply:
-                raise ChildProcessError(
-                    f"the process writing sweep rows {lo}..{hi - 1} ended without a"
-                    f" result (exit status {os.waitstatus_to_exitcode(status)})")
-            if reply.startswith(b"!"):
-                raise OSError(reply[1:].decode())
-            total += int(reply)
-            os.lseek(rows_fd, 0, os.SEEK_SET)
-            _copy(rows_fd, fh.buffer.write)
+            if reply:
+                total += int(reply)
+                fh.flush()  # the child's rows go straight to the binary buffer
+                os.lseek(rows_fd, 0, os.SEEK_SET)
+                while block := os.read(rows_fd, COPY_BUFFER):
+                    fh.buffer.write(block)
+            else:  # the child failed or was killed: write its rows, or fail, here
+                total += write_chunk(fh, lo, hi)
         return total
     finally:
         if children:  # the sweep failed or was interrupted: stop the rest
@@ -324,7 +304,7 @@ def cmd_sweep(args) -> int:
     for tau in (args.start, args.stop) if tau_axis else (args.tau,):
         check_delay(tau)  # a tau grid lies between its ends
     out = _outdir(args)
-    tally = count()  # of this process's outside equilibria
+    tally = count()  # of the outside equilibria of the chunk being written
 
     def analysis_at(value):
         """The row's (eq, report, hopf), or its error; a tau axis analyzes P as is."""
@@ -339,12 +319,14 @@ def cmd_sweep(args) -> int:
 
     def write_chunk(fh, lo, hi):
         """Write rows lo..hi-1, each as it is formatted, and return how many have
-        an equilibrium outside (0,1)^2.  A process writes one chunk, so TALLY
-        counts that chunk alone; the rows of a tau axis share one analysis."""
+        an equilibrium outside (0,1)^2.  TALLY starts again for each chunk, as the
+        parent may write a second one; a tau axis is one chunk of one analysis."""
+        nonlocal tally
         values = islice(_grid(args), lo, hi)
         if tau_axis:
             fh.writelines(row(tau, tau) for tau in values)
             return next(tally) * (hi - lo)
+        tally = count()
         fh.writelines(_sweep_row(analysis_at(v), args.with_hopf)(v, args.tau) for v in values)
         return next(tally)
 

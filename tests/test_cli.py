@@ -689,11 +689,15 @@ def test_underflowing_equilibrium_row_is_an_error_row(split_rows, config_b, tmp_
 
 
 @pytest.mark.parametrize("row, exc", [
-    (15, OSError), (5, OSError), (15, KeyboardInterrupt), (5, KeyboardInterrupt)],
-    ids=["child_error", "parent_error", "child_interrupt", "parent_interrupt"])
+    (15, OSError), (5, OSError), (15, KeyboardInterrupt), (5, KeyboardInterrupt),
+    (15, ZeroDivisionError), (5, ZeroDivisionError)],
+    ids=["child_error", "parent_error", "child_interrupt", "parent_interrupt",
+         "child_fault", "parent_fault"])
 def test_sweep_failure_reaps_every_child(row, exc, split_rows, config_a, tmp_path, capsys,
                                          monkeypatch):
-    # 30 rows in 3 processes: rows 0..9 in this one, 10..19 and 20..29 in children
+    # 30 rows in 3 processes: rows 0..9 in this one, 10..19 and 20..29 in
+    # children. A failing child sends no count, and this process writes its
+    # chunk again, so every failure is raised here, as in one process
     value = 3.5 + row * ((5.0 - 3.5) / 29)  # the grid's value of ROW
     replace_field = cli.replace_field
 
@@ -707,18 +711,48 @@ def test_sweep_failure_reaps_every_child(row, exc, split_rows, config_a, tmp_pat
     out = tmp_path / "sw"
     argv = ["sweep", "--config", config_a, "--param", "delta", "--start", "3.5", "--stop", "5",
             "--count", "30", "--tau", "0.03", "--out", str(out)]
-    if exc is KeyboardInterrupt and row < 10:
-        with pytest.raises(KeyboardInterrupt):
-            main(argv)
-    else:
+    if exc is OSError:  # main reports it as a config error
         assert main(argv) == 1
-        # an interrupted child is a chunk without a result; any other error is
-        # reported as in one process
-        want = (f"row {row} cannot be written" if exc is OSError else
-                "the process writing sweep rows 10..19 ended without a result (exit status 1)")
-        assert capsys.readouterr() == ("", f"config error: {want}\n")
+        assert capsys.readouterr() == ("", f"config error: row {row} cannot be written\n")
+    else:
+        with pytest.raises(exc, match=f"row {row} cannot be written"):
+            main(argv)
+        assert capsys.readouterr() == ("", "")
     assert len(forks) == 2
     assert_no_children_left(out)
+
+
+@pytest.mark.parametrize("rows", [(15,), (25,), (15, 25)],
+                         ids=["chunk_1", "chunk_2", "chunks_1_and_2"])
+def test_sweep_child_without_a_count_is_written_again(rows, split_rows, config_a, tmp_path,
+                                                      capsys, monkeypatch):
+    # 30 rows in 3 processes, as above; a child that reaches a row of ROWS ends
+    # at once, with no count, as if killed. Most rows lie outside (0,1)^2, so
+    # stderr shows that a chunk written again is counted once
+    argv = ["sweep", "--config", config_a, "--param", "gamma1", "--start", "0",
+            "--stop", "0.6", "--count", "30", "--tau", "0.03", "--with-hopf"]
+    out = tmp_path / "sw"
+    split_rows(1)
+    assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+    one = ((tmp_path / "one" / "sweep.csv").read_bytes(), *capsys.readouterr())
+    assert one[2].endswith(" rows have an equilibrium outside (0,1)^2\n")
+
+    parent = os.getpid()
+    values = {row * (0.6 / 29) for row in rows}  # the grid's values of ROWS
+    replace_field = cli.replace_field
+
+    def end_child_at_rows(p, name, v):
+        if v in values and os.getpid() != parent:
+            os._exit(9)
+        return replace_field(p, name, v)
+
+    monkeypatch.setattr(cli, "replace_field", end_child_at_rows)
+    forks = split_rows(3)
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(forks) == 2
+    assert_no_children_left(out)
+    one = (one[0], one[1].replace(str(tmp_path / "one"), str(out)), one[2])
+    assert ((out / "sweep.csv").read_bytes(), *capsys.readouterr()) == one
 
 
 # sha256 of simulate's trajectory.csv, run.json and stdout on case A

@@ -14,6 +14,7 @@ from goodwin_delay.cli import main
 from goodwin_delay.errors import (GoodwinDelayError, GridTooLarge, InvalidInput,
                                   NoOscillation, WindowTooShort)
 from goodwin_delay.model import equilibrium, subsystem_coefficients, validate_parameters
+from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.simulate import (
     HistorySpec,
     Trajectory,
@@ -23,8 +24,8 @@ from goodwin_delay.simulate import (
 )
 from goodwin_delay.spectral import analyze_spectrum
 
-from helpers import (CASE_A, exact_mean, np_amplitude_envelope, np_classify_dynamics,
-                     np_oscillation_period, rk4_ode_reference)
+from helpers import (CASE_A, eigen_pair, exact_mean, np_amplitude_envelope,
+                     np_classify_dynamics, np_oscillation_period, rk4_ode_reference)
 
 TAU0_A = 0.03484884438749684
 OMEGA0_A = 0.7080560034974415
@@ -260,6 +261,32 @@ class TestRegimes:
         predicted = 2 * math.pi / rep.omega0
         measured = oscillation_period(traj)
         assert abs(measured - predicted) / predicted < 0.05
+
+    @pytest.mark.parametrize("f", [0.5, 1.5], ids=["inside", "outside"])
+    def test_envelope_closes_on_the_predicted_orbit(self, f):
+        # case A with a3 = 0.8 has a supercritical Hopf and a stable orbit
+        # (tau0 = 2.676963, mu2_bar = 100.615). At tau0 + dtau the amplitude law
+        # puts the orbit's beta peak-to-peak at 4r, r^2 = dtau / mu2_bar, and
+        # lambda's at |alpha| times beta's. A start at F times the orbit's lambda
+        # amplitude must move toward it from its side in every window of three
+        # periods; settling is slow (2 Re lambda' dtau ~ 1e-4 per time unit), so
+        # at t = 2e4 the inner run reads 0.80 of 4r and the outer one 1.04
+        p = validate_parameters({**CASE_A, "a3": 0.8})
+        coeffs = subsystem_coefficients(p, "A")
+        eq = equilibrium(coeffs, p)
+        rep = analyze_spectrum(eq, coeffs)
+        hopf = hopf_analysis(eq, coeffs, rep)
+        assert (hopf.direction, hopf.orbit_stability) == ("supercritical", "stable")
+        dtau = 0.01
+        r = math.sqrt(dtau / hopf.mu2_bar)
+        alpha = abs(eigen_pair(eq, coeffs, rep.omega0, rep.tau0).alpha)
+        hist = HistorySpec(beta=eq.beta_e, lambda_=eq.lambda_e + f * alpha * 2 * r)
+        traj = simulate(coeffs, rep.tau0 + dtau, hist, t_end=2e4, step_hint=0.05)
+        _, amp, _ = np_amplitude_envelope(traj, 3 * 2 * math.pi / rep.omega0)
+        amp /= 4 * r
+        moves = np.diff(amp)
+        assert (moves > 0).all() if f < 1 else (moves < 0).all()
+        assert 0.7 < amp[-1] < 1 if f < 1 else 1 < amp[-1] < 1.1
 
 
 class TestDiagnostics:
