@@ -28,9 +28,7 @@ from .errors import ConfigError, ConstraintViolation, GoodwinDelayError, NoOscil
 from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coefficients,
                     validate_parameters)
 from .normal_form import hopf_analysis
-# simulate is not called here: it stays a name of this module, which perfbench wraps
-from .simulate import (HistorySpec, classify_dynamics, oscillation_period, simulate,
-                       simulate_rows)
+from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate_rows
 from .spectral import (analyze_spectrum, check_delay, check_depth, critical_delays,
                        verdict_at)
 
@@ -123,7 +121,7 @@ def cmd_analyze(args) -> int:
     }
     if report.h_case.note:
         spectral["h_case_note"] = report.h_case.note
-    spectral["verdict"] = verdict.kind
+    spectral["verdict"] = verdict
     _write_json(out / "analysis.json", {
         "engine_version": __version__,
         "variant": args.variant,
@@ -147,7 +145,7 @@ def cmd_analyze(args) -> int:
               f"  h'(z0): {_fmt(report.h_prime_z0)}")
     else:
         print("tau0: none (delay-independent stability)")
-    print(f"verdict at tau={_fmt(args.tau)}: {verdict.kind}")
+    print(f"verdict at tau={_fmt(args.tau)}: {verdict}")
     if hopf:
         print(f"hopf: c1(0)={hopf.c1_0!r} direction={hopf.direction}"
               f" orbit={hopf.orbit_stability}"
@@ -213,7 +211,7 @@ def _sweep_row(analysis, with_hopf: bool):
     if hopf is not None:
         hopf_cells = "," + ",".join(map(_fmt, _hopf_values(hopf)))
     tail = hopf_cells + ",\n"
-    return lambda value, tau: f"{value!r}{head}{verdict_at(report, tau).kind}{tail}"
+    return lambda value, tau: f"{value!r}{head}{verdict_at(report, tau)}{tail}"
 
 
 def _grid(args):

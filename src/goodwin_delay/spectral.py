@@ -184,32 +184,31 @@ def check_depth(j_max: int) -> None:
         raise InvalidInput(f"jmax must be in 0..{MAX_LADDER_DEPTH}, got {j_max!r}")
 
 
-def verdict_at(report: SpectralReport, tau: float) -> Verdict:
+def verdict_at(report: SpectralReport, tau: float) -> str:
     """Stability classification at delay tau, given the tau-independent spectrum."""
     check_delay(tau)  # the library's guard; the CLI also checks before writing
-    if not report.stable_at_zero:
-        return Verdict(kind="unstable_at_zero", report=report)
-    if report.tau0 is None:
-        return Verdict(kind="stable_all_delays", report=report)
-    # root pairs in the right half-plane at tau * (1 -+ HOPF_CRITICAL_TOL): each rung at
-    # or below brings one in at the larger frequency and takes one out at the smaller (H6)
-    below = above = 0
+    # no switch, a pair on the axis at tau = 0 (p0 = 0) or a real root >= 0 (r0 + q0 <= 0)
+    if report.tau0 is None or (c := report.coefficients).p0 == 0 or c.r0 + c.q0 <= 0:
+        return "stable_all_delays" if report.stable_at_zero else "unstable_at_zero"
+    unstable = "unstable" if report.stable_at_zero else "unstable_at_zero"
+    # pairs in the right half-plane at tau*(1 -+ HOPF_CRITICAL_TOL), 1 at tau = 0 if p0 < 0:
+    # each rung at or below brings one in at the larger frequency, out at the smaller (H6)
+    below = above = 0 if report.stable_at_zero else 1
     for sign, omega, rung in zip((1, -1), report.omegas, report.first_rungs):
         turns = (tau * (1.0 + HOPF_CRITICAL_TOL) - rung) * omega / (2.0 * math.pi)
         if turns == math.inf:  # beyond the float range, tau is past every switch
-            return Verdict(kind="unstable", report=report)
+            return unstable
         if turns >= 0:  # rungs 0..floor(turns) lie at or below
             above += sign * (math.floor(turns) + 1)
             turns = (tau * (1.0 - HOPF_CRITICAL_TOL) - rung) * omega / (2.0 * math.pi)
             if turns > 0:  # rungs 0..ceil(turns)-1 lie below; a rung at tau = 0 is at tau
                 below += sign * math.ceil(turns)
-    kind = ("hopf_critical" if (below > 0) != (above > 0)
-            else "unstable" if below > 0 else "stable")
-    return Verdict(kind=kind, report=report)
+    return ("hopf_critical" if (below > 0) != (above > 0)
+            else unstable if below > 0 else "stable")
 
 
 def stability_verdict(p: ModelParameters, variant: str, tau: float) -> Verdict:
-    """Stability classification of the equilibrium at a given delay."""
+    """Stability classification of the equilibrium at a given delay, with its spectrum."""
     coeffs = subsystem_coefficients(p, variant)
-    eq = equilibrium(coeffs, p)
-    return verdict_at(analyze_spectrum(eq, coeffs), tau)
+    report = analyze_spectrum(equilibrium(coeffs, p), coeffs)
+    return Verdict(verdict_at(report, tau), report)

@@ -1,7 +1,8 @@
 """Audit of the whole admissible box against the independent oracles.
 
-Not a test: pytest does not collect this file and it gates nothing.  Run it by
-hand from the repository root (about a minute at the defaults):
+Not a test: pytest does not collect this file, and CI does not run it.  Run it by
+hand from the repository root (about a minute at the defaults); it exits 1 when any
+verdict mismatches the root count:
 
     PYTHONPATH=src python tests/audit.py
 
@@ -28,6 +29,7 @@ raises.
 
 import collections
 import math
+import sys
 import time
 
 import numpy as np
@@ -93,7 +95,7 @@ def check_verdicts(rep, stats):
             taus.append(mid)
     for tau in taus:
         oracle = "stable" if rhp_root_count(*rep.coefficients, tau) == 0 else "unstable"
-        kind = verdict_at(rep, tau).kind
+        kind = verdict_at(rep, tau)
         stats[verdicts] += 1
         stats[mismatches] += ("unstable" if kind == "unstable_at_zero" else kind) != oracle
 
@@ -105,6 +107,7 @@ def main():
                "B": (DRAWS, lambda: build_set(draw_box(rng, "B"), "B")),
                "edge": (EDGE_DRAWS, lambda: sample_edge_set(rng)[:3])}
     regimes = collections.Counter()
+    mismatched = 0
     print(f"{'sample':<6} {'valid':>6} {'crossing':>8} {'worst rung':>11}     h' H4     h' H6 "
           f"{'worst c1':>9} {'verdict mismatches (tau0 <= 1e3)':>33}"
           f" {'unstable at zero':>18}")
@@ -121,11 +124,13 @@ def main():
               f"{stats['slope H4']:>9.2e} {stats['slope H6']:>9.2e} {stats['c1']:>9.2e} "
               f"{stats['mismatches']:>24} of {stats['verdicts']:<6}"
               f" {stats['unstable mismatches']:>8} of {stats['unstable verdicts']:<6}")
+        mismatched += stats["mismatches"] + stats["unstable mismatches"]
     print(f"\n{'sample':<6} {'h case':<6} {'interior':<8} {'direction':<22} {'sets':>6}")
     for (name, tag, interior, direction), n in sorted(regimes.items(), key=str):
         print(f"{name:<6} {tag:<6} {str(interior):<8} {direction:<22} {n:>6}")
     print(f"\n{time.perf_counter() - start:.1f} s")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

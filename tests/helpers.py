@@ -39,6 +39,14 @@ CASE_H6 = dict(mu1=0.0, mu2=1.0, nu1=0.103436, nu2=0.235665, n=0.00225221,
                a3=0.285496, b1=0.334909, b2=0.0, b3=0.99, c=0.495811,
                s_pi=0.101171, s_w=0.0188542, delta=11.1944)
 
+# case A's form, H6 with p0 < 0 < r0 + q0, so one root pair in the right half-plane at
+# zero delay; interior equilibrium (0.2226, 0.8421).  The rung 30.2271 of the smaller
+# frequency takes that pair out, and the rung 35.4584 of the larger brings one back
+CASE_UNSTABLE_AT_ZERO = dict(mu1=0.021488, mu2=1.0, nu1=0.029242, nu2=0.003549, n=0.008359,
+                             gamma1=0.005822, gamma2=0.113857, a1=0.584833, a2=0.105359,
+                             a3=0.161803, b1=0.241242, b2=0.003003, b3=0.66003, c=0.77589,
+                             s_pi=0.519957, s_w=0.040148, delta=3.190428)
+
 
 # ---------------------------------------------------------------- roots
 

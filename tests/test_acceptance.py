@@ -152,8 +152,7 @@ def test_criterion_7_figure_concordance(case_a):
     rep_h6 = analyze_spectrum(eq_h6, coeffs_h6)
     hist_h6 = HistorySpec(beta=eq_h6.beta_e - 0.05, lambda_=eq_h6.lambda_e - 0.05)
     for tau, want in ((10.0, "decaying"), (25.0, "growing")):
-        assert verdict_at(rep_h6, tau).kind == {"decaying": "stable",
-                                                "growing": "unstable"}[want]
+        assert verdict_at(rep_h6, tau) == {"decaying": "stable", "growing": "unstable"}[want]
         assert classify_dynamics(simulate(coeffs_h6, tau, hist_h6, t_end=3000.0)) == want
     _ok(7, f"decaying/sustained/growing; period {period:.4f} vs 2pi/omega0 "
            f"{predicted:.4f}; H6 stable again at tau = 10, unstable at 25")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goodwin_delay import spectral
+from goodwin_delay.cli import main
 from goodwin_delay.errors import (AcosDomain, DegenerateCrossing, InvalidInput,
                                   NonFiniteCoefficient, ResidualCheckFailed)
 from goodwin_delay.model import (PARAM_FIELDS, Equilibrium, SubsystemCoefficients,
@@ -24,9 +26,9 @@ from goodwin_delay.spectral import (
     verdict_at,
 )
 
-from helpers import (CASE_A, CASE_B, CASE_H6, brute_force_onset, build_set, h_value,
-                     mp_discriminant, mp_first_rungs, mp_h_prime, rhp_root_count,
-                     sample_crossing_set, sample_edge_set)
+from helpers import (CASE_A, CASE_B, CASE_H6, CASE_UNSTABLE_AT_ZERO, brute_force_onset,
+                     build_set, h_value, mp_discriminant, mp_first_rungs, mp_h_prime,
+                     rhp_root_count, sample_crossing_set, sample_edge_set)
 
 # tests/audit.py's draw A-19836 (seed 0): H6 with q0/r0 = 0.018, where the textbook
 # discriminant a^2 - 4(r0^2 - q0^2) cancels to 3.8e-13 relative
@@ -367,25 +369,49 @@ class TestVerdicts:
         assert rep.h_case.tag == tag
         assert rep.omegas == () and rep.first_rungs == ()
         assert rep.tau0 is rep.h_prime_z0 is rep.D is rep.re_lambda_prime is None
-        assert {verdict_at(rep, tau).kind for tau in (0.0, 0.5, 50.0)} == {kind}
+        assert {verdict_at(rep, tau) for tau in (0.0, 0.5, 50.0)} == {kind}
 
     @settings(max_examples=200, deadline=None)
     @given(r0=st.floats(0.1, 4.0), q_frac=st.floats(0.1, 0.95),
            q_sign=st.sampled_from([1, -1]), p_frac=st.floats(0.05, 0.95),
+           p_sign=st.sampled_from([1, -1]),
            taus=st.lists(st.floats(0.0, 50.0), min_size=10, max_size=10))
-    def test_verdict_counts_crossings_both_ways(self, r0, q_frac, q_sign, p_frac, taus):
-        # H6 and stable at zero: 0 < p0^2 < 2 r0 - 2 sqrt(r0^2 - q0^2) and |q0| < r0;
+    # unstable at zero, stable on (0.21703, 1.74309) and (5.48985, 5.66742)
+    @example(r0=2.0, q_frac=0.3, q_sign=-1, p_frac=0.3, p_sign=-1,
+             taus=[0.1, 0.98, 1.0, 3.0, 5.58, 5.6, 7.0, 10.0, 12.0, 20.0])
+    def test_verdict_counts_crossings_both_ways(self, r0, q_frac, q_sign, p_frac, p_sign,
+                                                taus):
+        # H6: 0 < p0^2 < 2 r0 - 2 sqrt(r0^2 - q0^2) and |q0| < r0; stable at zero when
+        # p0 > 0, and one root pair in the right half-plane there when p0 < 0 < r0 + q0
         q0 = q_sign * q_frac * r0
-        p0 = p_frac * math.sqrt(2 * r0 - 2 * math.sqrt(r0 * r0 - q0 * q0))
+        p0 = p_sign * p_frac * math.sqrt(2 * r0 - 2 * math.sqrt(r0 * r0 - q0 * q0))
         rep = spectrum_of(p0, r0, q0)
-        assert rep.h_case.tag == "H6" and rep.stable_at_zero
+        assert rep.h_case.tag == "H6" and rep.stable_at_zero == (p0 > 0)
         c = rep.coefficients
         rungs = [t for w in rep.omegas for t in critical_delays(c, w, 30)]
+        unstable = "unstable" if rep.stable_at_zero else "unstable_at_zero"
         for tau in taus:
             if min(abs(tau - t) for t in rungs) < 1e-3 * max(1.0, tau):
                 continue  # too close to a crossing for the contour count
-            want = "unstable" if rhp_root_count(c.p0, c.r0, c.q0, tau) else "stable"
-            assert verdict_at(rep, tau).kind == want, (tau, rep)
+            want = unstable if rhp_root_count(c.p0, c.r0, c.q0, tau) else "stable"
+            assert verdict_at(rep, tau) == want, (tau, rep)
+
+    @pytest.mark.parametrize("p0, r0, q0, tag", [
+        (0.0, 1.0, 0.5, "H6"), (0.0, 1.0, -0.5, "H6"),  # a root pair on the axis
+        (0.5, 0.5, -1.0, "H4"), (-0.5, 0.5, -1.0, "H4"),  # a real root > 0
+        (0.5, 1.0, -1.0, "H6"),  # a root at 0
+    ])
+    def test_marginal_edges_are_unstable_at_zero(self, p0, r0, q0, tag):
+        # p0 = 0 or r0 + q0 <= 0 starts no count: the verdict is unstable_at_zero at every
+        # tau, though at p0 = 0 the pair leaves the axis to the left when q0 < 0
+        rep = spectrum_of(p0, r0, q0)
+        assert rep.h_case.tag == tag and not rep.stable_at_zero and rep.tau0 is not None
+        c = rep.coefficients
+        taus = [0.0, 0.1, 1.0, 50.0] + [t * (1.0 + s * 1e-6) for w in rep.omegas
+                                        for t in critical_delays(c, w, 3) for s in (-1, 0, 1)]
+        assert {verdict_at(rep, tau) for tau in taus} == {"unstable_at_zero"}
+        if p0 == 0:  # d(Re x)/dtau = q0/2 at tau = 0
+            assert rhp_root_count(c.p0, c.r0, c.q0, 0.1) == (2 if q0 > 0 else 0)
 
     @pytest.mark.parametrize("p0, r0, q0, tag", [(1.0, 0.0, 100.0, "H4"),
                                                  (0.1, 100.0, 90.0, "H6")])
@@ -394,18 +420,18 @@ class TestVerdicts:
         rep = spectrum_of(p0, r0, q0)
         assert rep.h_case.tag == tag and rep.stable_at_zero
         assert (1.7e308 - rep.tau0) * rep.omega0 / (2 * math.pi) == math.inf
-        assert verdict_at(rep, 1.7e308).kind == "unstable"
+        assert verdict_at(rep, 1.7e308) == "unstable"
 
     def test_critical_band_is_relative_to_tau(self, case_a):
         _, coeffs, eq = case_a
         rep = analyze_spectrum(eq, coeffs)
         for tau, kind in [(rep.tau0, "hopf_critical"), (rep.tau0 * (1 - 1e-8), "stable"),
                           (rep.tau0 * (1 + 1e-8), "unstable")]:
-            assert verdict_at(rep, tau).kind == kind
+            assert verdict_at(rep, tau) == kind
         # the band has no width at tau = 0, where a rung is still at tau
         rep = rep._replace(first_rungs=(0.0,), tau0=0.0)
-        assert verdict_at(rep, 0.0).kind == "hopf_critical"
-        assert verdict_at(rep, 1e-300).kind == "unstable"
+        assert verdict_at(rep, 0.0) == "hopf_critical"
+        assert verdict_at(rep, 1e-300) == "unstable"
 
     @pytest.mark.parametrize("tau, kind", [(2.0, "stable"), (5.0, "unstable"),
                                            (10.0, "stable"), (15.0, "stable"),
@@ -414,6 +440,23 @@ class TestVerdicts:
         # rungs 3.6024 and 19.838 of the larger frequency bring a root pair in,
         # 7.2788 and 27.682 of the smaller take it back out
         assert analysis_json(CASE_H6, "--tau", str(tau))["spectral"]["verdict"] == kind
+
+    def test_delay_stabilises_a_set_unstable_at_zero(self, analysis_json, tmp_path, capsys):
+        # its one unstable pair leaves at the rung 30.2271 of the smaller frequency and
+        # returns at the rung 35.4584 of the larger
+        for tau, kind in [(10.0, "unstable_at_zero"), (30.227127099970804, "hopf_critical"),
+                          (32.84, "stable"), (35.458379151219965, "hopf_critical"),
+                          (40.0, "unstable_at_zero")]:
+            doc = analysis_json(CASE_UNSTABLE_AT_ZERO, "--tau", str(tau))
+            assert doc["spectral"]["verdict"] == kind, tau
+            assert doc["instability_interval"] is None
+        config = tmp_path / "set.json"
+        config.write_text(json.dumps(CASE_UNSTABLE_AT_ZERO))
+        for tau, label in [("32.84", "decaying"), ("40", "sustained")]:
+            assert main(["simulate", "--config", str(config), "--tau", tau, "--t-end", "4000",
+                         "--init", "0.2236,0.8431", "--step", "0.05",
+                         "--out", str(tmp_path / "sim")]) == 0
+            assert f"classification: {label}\n" in capsys.readouterr().out, tau
 
     def test_case_b_stable_at_zero(self, case_b_raw):
         p = validate_parameters(case_b_raw)
@@ -545,4 +588,4 @@ class TestTimeUnit:
         probes = [0.0] + [rung * (1.0 + s * 1e-6)
                           for rung in rep.first_rungs for s in (-1, 0, 1)]
         for tau in probes:
-            assert verdict_at(rep_k, tau / k).kind == verdict_at(rep, tau).kind, tau
+            assert verdict_at(rep_k, tau / k) == verdict_at(rep, tau), tau
