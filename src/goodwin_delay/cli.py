@@ -1,15 +1,15 @@
 """Command-line front end: analyze / simulate / sweep.
 
-Exit codes: 0 success, 1 configuration error, 2 analysis-precondition
-failure, 3 simulation failure; each error class carries its own
-(errors.py).  This module alone renders output, from the library's records,
-with shortest round-trip float formatting, so identical configs produce
-byte-identical outputs.  A sweep over a model parameter splits its rows
-across the CPUs this process may run on, in forked children, and its
-sweep.csv, stdout, stderr and failures are the same for any CPU count; a
-tracer that wraps the library's functions in this process sees the calls of
-the first chunk of rows and of any chunk it writes again for a child that
-sent no count.
+Exit codes: 0 success, 1 configuration error, 2 analysis-precondition failure, 3
+simulation failure; each error class carries its own (errors.py).  This module alone
+renders output, from the library's records, with shortest round-trip float formatting,
+so identical configs produce byte-identical outputs.  analyze and sweep load model,
+spectral and normal_form; simulate also loads the integrator, simulate, in cmd_simulate,
+so a tracer finds classify_dynamics and oscillation_period there, not in this module.
+A sweep over a model parameter splits its rows across the CPUs this process may run on,
+in forked children, with the same sweep.csv, stdout, stderr and failures for any CPU
+count; a tracer in this process sees the calls of the first chunk of rows and of any
+chunk it writes again for a child that sent no count.
 """
 
 from __future__ import annotations
@@ -28,15 +28,14 @@ from .errors import ConfigError, ConstraintViolation, GoodwinDelayError, NoOscil
 from .model import (PARAM_FIELDS, equilibrium, replace_field, subsystem_coefficients,
                     validate_parameters)
 from .normal_form import hopf_analysis
-from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate_rows
 from .spectral import (analyze_spectrum, check_delay, check_depth, critical_delays,
                        verdict_at)
 
 EXIT_OK = 0  # a failure exits with its error class's exit_code
 
 MAX_SWEEP_POINTS = 1_000_000
-# The fewest rows a sweep process takes: about 35 ms of work at ~70 us a row,
-# against about 2 ms to fork and reap a child and copy its rows back, so a
+# The fewest rows a sweep process takes: about 20-30 ms of work at 40-60 us a
+# row, against 2-4 ms to fork and reap a child and copy its rows back, so a
 # split pays only when every process has that much to do.
 ROWS_PER_WORKER = 500
 COPY_BUFFER = 8192  # bytes per read of a child's rows: the size of io's own buffers
@@ -154,6 +153,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import HistorySpec, classify_dynamics, oscillation_period, simulate_rows
     p = _load_params(args)
     coeffs = subsystem_coefficients(p, args.variant)
     eq = equilibrium(coeffs, p)

@@ -1,8 +1,8 @@
 """Audit of the whole admissible box against the independent oracles.
 
-Not a test: pytest does not collect this file, and CI does not run it.  Run it by
-hand from the repository root (about a minute at the defaults); it exits 1 when any
-verdict mismatches the root count:
+Not a test: pytest does not collect this file.  CI runs it on one Python version,
+after tier-1; run it from the repository root (about a minute at the defaults).  It
+is seeded, and it exits 1 when any verdict mismatches the root count:
 
     PYTHONPATH=src python tests/audit.py
 

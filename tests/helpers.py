@@ -31,6 +31,12 @@ CASE_B = dict(mu1=0.0186145, mu2=0.5, nu1=0.015, nu2=0.03, n=0.01, gamma1=0.0,
               gamma2=0.0, a1=0.9, a2=1.0, a3=1.0, b1=1.9, b2=0.0, b3=0.6,
               c=0.4, s_pi=0.24, s_w=0.04, delta=4.0)
 
+# case B's mu1 moved until the psi gap lambda* - lambda_e lies just inside or just
+# outside model.PSI_CONSISTENCY_TOL = 1e-5, solved from the closed forms, where the
+# gap moves 67.9 per unit of mu1: mu1 -> gap
+PSI_EDGE_INSIDE = {0.01861459039156624: 9e-6, 0.01861432527108438: -9e-6}
+PSI_EDGE_OUTSIDE = {0.01861461984939756: 1.1e-5, 0.018614295813253065: -1.1e-5}
+
 # case A's form with two crossing frequencies (H6), stable at zero, interior
 # equilibrium: a rung of the smaller frequency takes a root pair back out of
 # the right half-plane, so the equilibrium is stable again on [7.2788, 19.838]

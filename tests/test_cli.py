@@ -25,7 +25,7 @@ from goodwin_delay.normal_form import hopf_analysis
 from goodwin_delay.spectral import (analyze_spectrum, check_delay, check_depth,
                                     critical_delays, stability_verdict)
 
-from helpers import CASE_A, CASE_B, CASE_H6
+from helpers import CASE_A, CASE_B, CASE_H6, PSI_EDGE_OUTSIDE
 
 TEXT_COLUMNS = {"h_case", "verdict", "direction", "orbit_stability", "error"}
 
@@ -133,6 +133,14 @@ class TestAnalyze:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "analysis error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mu1", PSI_EDGE_OUTSIDE)
+    def test_psi_gap_just_outside_the_tolerance_exits_2(self, mu1, tmp_path, capsys):
+        cfg = tmp_path / "psi.json"
+        cfg.write_text(json.dumps(dict(CASE_B, mu1=mu1)))
+        assert main(["analyze", "--config", str(cfg), "--variant", "B",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("analysis error: lambda_e* = ")
 
     @pytest.mark.parametrize("variant, overrides, message", [
         ("A", {"a2": 5e-324, "gamma2": 0.0}, "rho1*nu2 + g*delta*(rho1 + gamma2) = 0"),
@@ -872,8 +880,6 @@ def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):
         assert cli.main(["sweep", "--config", a, "--param", "tau",
                          "--start", "0", "--stop", "0.06", "--count", "61",
                          "--with-hopf", "--out", out]) == 0
-        assert cli.main(["simulate", "--config", a, "--tau", "0.05",
-                         "--t-end", "20", "--out", out]) == 0
         # a parameter sweep split across three processes
         import os
         forks, fork = [], os.fork
@@ -884,6 +890,10 @@ def test_analyze_and_sweep_do_not_import_numpy(config_a, config_b, tmp_path):
                          "--stop", "5", "--count", "61", "--tau", "0.03",
                          "--with-hopf", "--out", out]) == 0
         assert len(forks) == 2
+        # only simulate loads the integrator
+        assert "goodwin_delay.simulate" not in sys.modules, "the integrator imported"
+        assert cli.main(["simulate", "--config", a, "--tau", "0.05",
+                         "--t-end", "20", "--out", out]) == 0
         for name in ("numpy", "multiprocessing", "concurrent.futures"):
             assert name not in sys.modules, name + " imported"
     """)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -25,7 +26,7 @@ from goodwin_delay.model import (
 )
 from goodwin_delay.simulate import HistorySpec, simulate
 
-from helpers import CASE_A, CASE_B
+from helpers import CASE_A, CASE_B, PSI_EDGE_INSIDE, PSI_EDGE_OUTSIDE
 
 
 def drift(coeffs, beta, lambda_, tau, t_end=50.0):
@@ -238,6 +239,21 @@ class TestEquilibrium:
         coeffs = subsystem_coefficients(p, "B")
         with pytest.raises(InconsistentPsi):
             equilibrium(coeffs, p)
+
+    @pytest.mark.parametrize("mu1, gap", PSI_EDGE_INSIDE.items())
+    def test_psi_gap_just_inside_the_tolerance_passes(self, mu1, gap):
+        p = validate_parameters(dict(CASE_B, mu1=mu1))
+        eq = equilibrium(subsystem_coefficients(p, "B"), p)
+        assert eq.lambda_star - eq.lambda_e == pytest.approx(gap, rel=1e-6)
+
+    @pytest.mark.parametrize("mu1, gap", PSI_EDGE_OUTSIDE.items())
+    def test_psi_gap_just_outside_the_tolerance_raises(self, mu1, gap):
+        p = validate_parameters(dict(CASE_B, mu1=mu1))
+        with pytest.raises(InconsistentPsi) as raised:
+            equilibrium(subsystem_coefficients(p, "B"), p)
+        # "lambda_e* = X differs from lambda_e = Y"
+        star, e = map(float, re.findall(r"= (\S+)", str(raised.value)))
+        assert star - e == pytest.approx(gap, rel=1e-6)
 
     @pytest.mark.parametrize("name", ["nu2", "gamma2"])
     def test_non_finite_equilibrium_is_undefined(self, name, case_a_raw):

@@ -47,7 +47,7 @@ def test_cli_import_loads_neither_dataclasses_nor_numpy():
         before = set(sys.modules)
         import goodwin_delay.cli
         added = set(sys.modules) - before
-        print(sorted({"dataclasses", "numpy"} & added))
+        print(sorted({"dataclasses", "numpy", "goodwin_delay.simulate"} & added))
     """)
     src = str(Path(goodwin_delay.__file__).resolve().parents[1])
     env = dict(os.environ)
